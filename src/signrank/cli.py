@@ -271,12 +271,13 @@ def _cmd_bounds(args) -> int:
     info = regularity(B)
     cap = max(1, min(MAX_ITERATIONS, args.budget))
     summary = top_singular_values(S.entries.astype(float), tol=args.tol, max_iterations=cap)
+    vc = vc_dimension(S)
     doc = {
         "instance": os.path.basename(args.input),
         "n_rows": S.n_rows,
         "n_cols": S.n_cols,
-        "vc": vc_dimension(S),
-        "dual": dual_sign_rank(S),
+        "vc": vc,
+        "dual": dual_sign_rank(S, vc=vc),
         "is_regular": info.degree is not None,
         "degree": info.degree,
         "spectrum": {

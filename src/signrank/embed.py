@@ -146,7 +146,8 @@ def _embed_recursive(
             (j, sum(1 for _, t in rows if t[j] == 1)) for j in range(len(cols))
         )
     )
-    assert best_m == 1, "pivot needs a unique minority entry"
+    if best_m != 1:
+        raise AssertionError("pivot needs a unique minority entry")
     ones0 = sum(1 for _, t in rows if t[j0] == 1)
     minority = 1 if ones0 <= r_count - ones0 else -1
     min_pos = next(k for k, (_, t) in enumerate(rows) if t[j0] == minority)
@@ -357,7 +358,7 @@ def signrank_bracket(
         rng = np.random.default_rng(0)
     Sd = distinct_rows(S)
     vc = vc_dimension(Sd)
-    dual = dual_sign_rank(Sd)
+    dual = dual_sign_rank(Sd, vc=vc)
     lower: list[tuple[str, float]] = [("dual_sign_rank", float(dual))]
     square = S.n_rows == S.n_cols
     info = regularity(to_boolean(S)) if square else None

@@ -49,7 +49,8 @@ class ProjectiveSpace:
             if nz == 1:
                 pts.append(v)
         expected = (order ** (dim + 1) - 1) // (order - 1)
-        assert len(pts) == expected
+        if len(pts) != expected:
+            raise AssertionError(f"found {len(pts)} points, expected {expected}")
         points = tuple(pts)
         return cls(order, dim, points, points)
 
@@ -205,7 +206,8 @@ def interval_class(p: int, orders: LineOrders | None = None) -> ConceptClass:
                     row[q] = 1
                 rows.append(row)
     expected = 1 + n + math.comb(n, 2)
-    assert len(rows) == expected
+    if len(rows) != expected:
+        raise AssertionError(f"built {len(rows)} rows, expected {expected}")
     return ConceptClass(SignMatrix(rows))
 
 

@@ -212,7 +212,8 @@ def regular_witness(S: SignMatrix, tol: float = DEFAULT_TOL) -> WitnessMatrix:
         raise ValueError(f"degree {degree} exceeds half the order {n}")
     W = (n / degree) * B.entries.astype(float) - 1.0
     witness = WitnessMatrix(W, "regular-witness", 0.0)
-    assert witness_feasible(witness, S)
+    if not witness_feasible(witness, S):
+        raise AssertionError("regular witness is not feasible for S")
     sigma2, _, _ = _second_singular_regular(
         B.entries.astype(float), tol, MAX_ITERATIONS
     )

@@ -207,7 +207,8 @@ def vc1_path(S: SignMatrix) -> RowOrdering:
                 (j, sum(1 for _, t in rows if t[j] == 1)) for j in range(width)
             )
         )
-        assert best_m == 1, "pivot column must have a unique minority entry"
+        if best_m != 1:
+            raise AssertionError("pivot column must have a unique minority entry")
         ones0 = sum(1 for _, t in rows if t[j0] == 1)
         minority = 1 if ones0 <= r_count - ones0 else -1
         min_pos = next(k for k, (_, t) in enumerate(rows) if t[j0] == minority)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from signrank import (
     projective_incidence,
     sauer_bound,
     signed_identity,
+    signrank_bracket,
     vc_dimension,
 )
+from signrank import vc
 from testutil import random_distinct_matrix, random_sign_matrix
 
 
@@ -193,17 +196,157 @@ def test_shattered_implies_antipodally_shattered():
     assert checked > 0
 
 
-def test_vc_dimension_size_limit():
-    # 32 rows shattering the first 5 of 64 columns: levels 1..4 succeed on
-    # their first subset, then C(64, 5) > 2e6 subsets trips the budget.
+def _shattered_block(first: int) -> SignMatrix:
+    """32 rows over 64 columns that shatter columns first..first+4 and are
+    constant elsewhere."""
     rows = []
     for pattern in range(32):
         row = [-1] * 64
         for i in range(5):
-            row[i] = 1 if (pattern >> i) & 1 else -1
+            row[first + i] = 1 if (pattern >> i) & 1 else -1
         rows.append(row)
-    with pytest.raises(SizeLimitError):
-        vc_dimension(SignMatrix(rows))
+    return SignMatrix(rows)
+
+
+def test_vc_dimension_size_limit(monkeypatch):
+    # The shattered block sits on columns 59..63, the last 5-subset in
+    # lexicographic order. With the budget at C(64, 4), size 4 is searched
+    # in full (its witness comes late but within budget) and size 5 runs
+    # out of budget before it reaches its only witness.
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", math.comb(64, 4))
+    with pytest.raises(SizeLimitError, match=f"examined {math.comb(64, 4)} of"):
+        vc_dimension(_shattered_block(59))
+
+
+def test_vc_dimension_early_witness_within_budget():
+    # C(64, 5) > 2e6 subsets, but the witness on columns 0..4 is the first
+    # 5-subset examined, so the work-counted budget is never reached.
+    assert vc_dimension(_shattered_block(0)) == 5
+
+
+def test_max_projections_size_limit(monkeypatch):
+    # 64 single columns against a budget of 10: column 0 splits the rows at
+    # once, column 59 is never reached.
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 10)
+    assert max_projections(_shattered_block(0), 1) == 2
+    with pytest.raises(SizeLimitError, match="examined 10 of 64"):
+        max_projections(_shattered_block(59), 1)
+    # A batch of 5 subsets ends exactly at the budget; the next one is refused.
+    monkeypatch.setattr(vc, "_BATCH_CELLS", 5 * 32)
+    with pytest.raises(SizeLimitError, match="examined 10 of 64"):
+        max_projections(_shattered_block(59), 1)
+    # A budget that covers every subset is never exceeded, even when the
+    # whole size is scanned without a witness: no 2-set of the signed
+    # identity is shattered, and it has C(4, 2) = 6 of them.
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 64)
+    assert max_projections(_shattered_block(59), 1) == 2
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 6)
+    assert vc_dimension(signed_identity(4)) == 1
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 5)
+    with pytest.raises(SizeLimitError, match="examined 5 of 6"):
+        vc_dimension(signed_identity(4))
+
+
+def brute_vc_dimension(S):
+    best = 0
+    for k in range(1, S.n_cols + 1):
+        if any(
+            brute_shattered(S, c) for c in itertools.combinations(range(S.n_cols), k)
+        ):
+            best = k
+    return best
+
+
+def brute_max_projections(S, t):
+    return max(
+        len({tuple(r[c] for c in cols) for r in S.row_tuples()})
+        for cols in itertools.combinations(range(S.n_cols), t)
+    )
+
+
+def kernel_cases():
+    """Random matrices with duplicate rows, single columns, constant
+    matrices and fewer than 2^k rows, plus a few fixed families."""
+    rng = np.random.default_rng(41)
+    cases = [
+        SignMatrix.constant(5, 4, 1),
+        SignMatrix.constant(3, 1, -1),
+        SignMatrix([[1], [-1], [1]]),
+        signed_identity(5),
+        disjointness(2),
+        projective_incidence(2),
+        SignMatrix(random_sign_matrix(rng, 6, 9).entries.T),  # column-major
+    ]
+    for _ in range(40):
+        S = random_sign_matrix(rng, int(rng.integers(1, 12)), int(rng.integers(1, 7)))
+        dup = rng.integers(0, S.n_rows, size=int(rng.integers(0, 4)))
+        cases.append(SignMatrix(np.vstack([S.entries, S.entries[dup]])))
+    for _ in range(10):
+        cases.append(random_sign_matrix(rng, int(rng.integers(1, 4)), int(rng.integers(3, 7))))
+    return cases
+
+
+def check_kernel_against_brute(S):
+    assert vc_dimension(S) == brute_vc_dimension(S)
+    assert dual_sign_rank(S) == brute_dual_sign_rank(S)
+    assert dual_sign_rank(S, vc=vc_dimension(S)) == brute_dual_sign_rank(S)
+    for k in range(1, S.n_cols + 1):
+        for cols in itertools.combinations(range(S.n_cols), k):
+            assert is_shattered(S, cols) == brute_shattered(S, cols)
+            assert is_antipodally_shattered(S, cols) == brute_antipodal(S, cols)
+    for t in range(1, min(S.n_cols, 4) + 1):
+        assert max_projections(S, t) == brute_max_projections(S, t)
+
+
+def test_kernel_matches_bruteforce():
+    for S in kernel_cases():
+        check_kernel_against_brute(S)
+
+
+@pytest.mark.parametrize("cells", [1, 3, 7])
+def test_kernel_matches_bruteforce_in_tiny_batches(monkeypatch, cells):
+    # A batch of a few cells holds one or two subsets, so every search
+    # crosses many batch and prefix-chunk boundaries.
+    monkeypatch.setattr(vc, "_BATCH_CELLS", cells)
+    for S in kernel_cases():
+        check_kernel_against_brute(S)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 64])
+def test_subsets_in_lexicographic_chunks(size):
+    for m in range(1, 8):
+        for k in range(1, m + 1):
+            chunks = list(vc._subsets(m, k, size))
+            assert all(1 <= len(C) <= size and C.shape[1] == k for C in chunks)
+            got = [tuple(row) for C in chunks for row in C.tolist()]
+            assert got == list(itertools.combinations(range(m), k))
+
+
+def test_pattern_ids_wider_than_a_word():
+    # 70 columns overflow a 62-bit id, so ids are renumbered after 62
+    # columns. Heads (first 62 columns) and tails (last 8) each take one of
+    # three patterns, so rows collide on the head, on the tail, or on both.
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        heads = random_sign_matrix(rng, 3, 62).entries[rng.integers(0, 3, size=16)]
+        tails = random_sign_matrix(rng, 3, 8).entries[rng.integers(0, 3, size=16)]
+        S = SignMatrix(np.hstack([heads, tails]))
+        distinct = len(set(S.row_tuples()))
+        bits = vc._bit_columns(S)
+        ids = vc._pattern_ids(bits, np.arange(70)[None, :])[0]
+        assert len(set(ids.tolist())) == bits.shape[1] == distinct
+        assert max_projections(S, 70) == distinct
+
+
+def test_signrank_bracket_formerly_over_budget():
+    # C(57, 5) and C(32, 6) exceed the subset budget, but the witnesses come
+    # early in the search, so both get a bracket.
+    P = signrank_bracket(projective_incidence(7))
+    assert (P.vc, P.dual) == (2, 5)
+    assert 5 <= P.bracket[0] <= P.bracket[1]
+    D = signrank_bracket(disjointness(5))
+    assert (D.vc, D.dual) == (5, 6)
+    assert 6 <= D.bracket[0] <= D.bracket[1]
 
 
 def test_concept_class_requires_distinct_rows():
