@@ -70,12 +70,14 @@ from .stabbing import (
     count_sign_changes,
     doubling_update,
     haussler_packing_limit,
+    low_stabbing_order,
     sc_star_bruteforce,
     vc1_path,
     welzl_path,
 )
 from .vc import (
     ConceptClass,
+    cube_connected,
     dual_sign_rank,
     is_antipodally_shattered,
     is_cube_connected,

@@ -18,7 +18,13 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .matrix import SignMatrix
-from .vc import ConceptClass, is_cube_connected, sauer_bound, vc_dimension
+from .vc import (
+    ConceptClass,
+    cube_connected,
+    is_cube_connected,
+    sauer_bound,
+    vc_dimension,
+)
 
 MAX_EXACT_N = 4
 
@@ -102,21 +108,6 @@ def maximum_class_masks(n: int, d: int) -> list[int]:
     return [int(m) for m in hits]
 
 
-def _mask_connected(mask: int, n: int) -> bool:
-    start = mask & -mask
-    v0 = start.bit_length() - 1
-    reached = {v0}
-    stack = [v0]
-    while stack:
-        v = stack.pop()
-        for j in range(n):
-            u = v ^ (1 << j)
-            if (mask >> u) & 1 and u not in reached:
-                reached.add(u)
-                stack.append(u)
-    return len(reached) == mask.bit_count()
-
-
 def enumerate_census(n: int, d: int) -> CensusResult:
     """Exact counts of non-empty classes over n columns (n <= 4): classes of
     VC dimension exactly d and at most d, the maximum classes among them, and
@@ -129,7 +120,9 @@ def enumerate_census(n: int, d: int) -> CensusResult:
     count_exact = int(((vc == d) & nonempty).sum())
     count_at_most = int(((vc <= d) & nonempty).sum())
     max_masks = maximum_class_masks(n, d)
-    all_connected = all(_mask_connected(m, n) for m in max_masks)
+    all_connected = all(
+        cube_connected((u for u in range(1 << n) if (m >> u) & 1), n) for m in max_masks
+    )
     return CensusResult(
         n=n,
         d=d,

@@ -30,7 +30,7 @@ from .spectral import (
     star_norm_floor,
     top_singular_values,
 )
-from .stabbing import vc1_path, welzl_path
+from .stabbing import low_stabbing_order
 from .vc import dual_sign_rank, vc_dimension
 
 EXIT_OK = 0
@@ -211,7 +211,7 @@ def _cmd_analyze(args) -> int:
     _emit(doc, args.out, args.format)
     cap = max(1, min(MAX_ITERATIONS, args.budget))
     summary = top_singular_values(S.entries.astype(float), tol=args.tol, max_iterations=cap)
-    if summary.iterations >= cap:
+    if summary.longest_run >= cap:
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -220,13 +220,7 @@ def _cmd_approx(args) -> int:
     S = _load_matrix(args.input)
     rng = np.random.default_rng(args.seed)
     Sd = distinct_rows(S)
-    vc = vc_dimension(Sd)
-    if vc <= 1:
-        ordering = vc1_path(Sd)
-        method = "vc1"
-    else:
-        ordering, _ = welzl_path(Sd, rng, d=vc)
-        method = "welzl"
+    ordering, method, _ = low_stabbing_order(Sd, rng, vc_dimension(Sd))
     doc = {
         "instance": os.path.basename(args.input),
         "method": method,
@@ -248,12 +242,8 @@ def _cmd_path(args) -> int:
         "n_cols": Sd.n_cols,
         "vc": vc,
     }
-    if vc <= 1:
-        ordering = vc1_path(Sd)
-        doc["method"] = "vc1"
-    else:
-        ordering, state = welzl_path(Sd, rng, d=vc)
-        doc["method"] = "welzl"
+    ordering, doc["method"], state = low_stabbing_order(Sd, rng, vc)
+    if state is not None:
         doc["x_log"] = [float(x) for x in state.x_log]
         doc["constant_observed"] = ordering.max_sign_changes / Sd.n_rows ** (
             1.0 - 1.0 / vc
@@ -296,7 +286,7 @@ def _cmd_bounds(args) -> int:
         if info.degree >= 1 and 2 * info.degree <= S.n_rows:
             doc["spectral_lower_bound"] = spectral_signrank_lower(S, tol=args.tol)
     _emit(doc, args.out, args.format)
-    if summary.iterations >= cap:
+    if summary.longest_run >= cap:
         return EXIT_NUMERIC
     return EXIT_OK
 

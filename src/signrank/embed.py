@@ -23,7 +23,7 @@ from .spectral import (
     integer_certificate,
     spectral_signrank_lower,
 )
-from .stabbing import vc1_path, welzl_path
+from .stabbing import low_stabbing_order
 from .vc import dual_sign_rank, vc_dimension
 
 # Verification threshold for exported planar margins.
@@ -330,10 +330,7 @@ def approx_sign_rank(
         rng = np.random.default_rng(0)
     Sd = distinct_rows(S)
     vc = vc_dimension(Sd) if d is None else int(d)
-    if vc <= 1:
-        ordering = vc1_path(Sd)
-    else:
-        ordering, _ = welzl_path(Sd, rng, d=vc)
+    ordering, _, _ = low_stabbing_order(Sd, rng, vc)
     return ordering.max_sign_changes + 1
 
 
@@ -369,15 +366,13 @@ def signrank_bracket(
 
     upper: list[tuple[str, int, str | None]] = []
     welzl_constant = None
+    ordering, method, _ = low_stabbing_order(Sd, rng, vc)
+    upper.append((f"path_{method}", ordering.max_sign_changes + 1, None))
     if vc <= 1:
-        ordering = vc1_path(Sd)
-        upper.append(("path_vc1", ordering.max_sign_changes + 1, None))
         realization = embed_vc1(Sd)
         if verify_realization(realization, Sd):
             upper.append(("planar_embedding", 3, "planar"))
     else:
-        ordering, _ = welzl_path(Sd, rng, d=vc)
-        upper.append(("path_welzl", ordering.max_sign_changes + 1, None))
         welzl_constant = ordering.max_sign_changes / Sd.n_rows ** (1.0 - 1.0 / vc)
     if info is not None and info.degree is not None:
         upper.append(("regular_degree", 2 * info.degree + 1, None))

@@ -23,12 +23,15 @@ MAX_ITERATIONS = 10_000
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Top two singular values with the convergence evidence for both."""
+    """Top two singular values with the convergence evidence for both:
+    `iterations` is summed over every power run, `longest_run` is the most
+    any single run used (a run that reaches its cap has not converged)."""
 
     sigma1: float
     sigma2: float
     residual: float
     iterations: int
+    longest_run: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +83,9 @@ def _power_best(
     starts: Iterable[np.ndarray],
     tol: float,
     max_iterations: int,
-) -> tuple[float, np.ndarray | None, float, int]:
+) -> tuple[float, np.ndarray | None, float, int, int]:
     """Run the power iteration from every start and keep the largest value.
+    Also returns the iterations summed over the runs and the longest run.
 
     A single deterministic start can coincide with a non-dominant eigenvector
     (the all-ones vector often does on structured matrices), in which case
@@ -90,16 +94,17 @@ def _power_best(
     deterministic.
     """
     best: tuple[float, np.ndarray | None, float] = (0.0, None, 0.0)
-    used = 0
+    used = longest = 0
     for start in starts:
         result = _power_single(apply, start, tol, max_iterations)
         if result is None:
             continue
         lam, vec, res, its = result
         used += its
+        longest = max(longest, its)
         if lam > best[0]:
             best = (lam, vec, res)
-    return best[0], best[1], best[2], used
+    return best[0], best[1], best[2], used, longest
 
 
 def _generic_start(g: int) -> np.ndarray:
@@ -137,10 +142,10 @@ def top_singular_values(
     g = G.shape[0]
 
     starts1 = [np.ones(g), _generic_start(g)]
-    lam1, v1, res1, it1 = _power_best(lambda v: G @ v, starts1, tol, max_iterations)
+    lam1, v1, res1, it1, long1 = _power_best(lambda v: G @ v, starts1, tol, max_iterations)
     sigma1 = math.sqrt(max(lam1, 0.0))
     if v1 is None or g == 1:
-        return SpectrumSummary(sigma1, 0.0, res1, it1)
+        return SpectrumSummary(sigma1, 0.0, res1, it1, long1)
 
     def deflated(v: np.ndarray) -> np.ndarray:
         u = v - (v1 @ v) * v1
@@ -151,9 +156,11 @@ def top_singular_values(
         _first_basis_start(g, against=v1),
         _generic_start(g) - (v1 @ _generic_start(g)) * v1,
     ]
-    lam2, _, res2, it2 = _power_best(deflated, starts2, tol, max_iterations)
+    lam2, _, res2, it2, long2 = _power_best(deflated, starts2, tol, max_iterations)
     sigma2 = min(math.sqrt(max(lam2, 0.0)), sigma1)
-    return SpectrumSummary(sigma1, sigma2, max(res1, res2), it1 + it2)
+    return SpectrumSummary(
+        sigma1, sigma2, max(res1, res2), it1 + it2, max(long1, long2)
+    )
 
 
 def _second_singular_regular(
@@ -178,7 +185,7 @@ def _second_singular_regular(
         _first_basis_start(n, against=ones),
         _generic_start(n) - (ones @ _generic_start(n)) * ones,
     ]
-    lam, _, res, used = _power_best(deflated, starts, tol, max_iterations)
+    lam, _, res, used, _ = _power_best(deflated, starts, tol, max_iterations)
     return math.sqrt(max(lam, 0.0)), res, used
 
 

@@ -2,9 +2,13 @@
 
 The central routine builds a spanning tree greedily under a multiplicative
 column reweighting, doubles its edges, and reads a row order off an Eulerian
-circuit. A specialized constructor handles VC dimension one with at most two
-sign changes per column, and a factorial-search oracle gives the exact
-optimum for up to eight rows.
+circuit. Its pair weights are kept as exact integers in an n x n array and
+updated from the crossed columns alone, so ties are broken among exactly
+equal weights: the seed alone fixes the output, whatever the BLAS library or
+thread count, and memory is O(n^2) for n rows. A specialized constructor
+handles VC dimension one with at most two sign changes per column,
+`low_stabbing_order` picks between the two, and a factorial-search oracle
+gives the exact optimum for up to eight rows.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ import numpy as np
 from .errors import SizeLimitError
 from .matrix import SignMatrix, has_distinct_rows
 from .vc import vc_dimension
+
+# Ceiling on the total pair weight kept in float64 (see _PairWeights).
+_EXACT_LIMIT = 2**52
 
 
 @dataclass(frozen=True)
@@ -109,6 +116,95 @@ def _euler_circuit_doubled(n: int, edges: list[tuple[int, int]]) -> list[int]:
     return circuit
 
 
+def _int_diff_sums(X: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Python-int matrix of sum_j 2^e_j over the columns j of the +-1 matrix
+    X where rows u and v differ."""
+    Xo = X.astype(np.int64).astype(object)
+    w = np.array([1 << int(k) for k in e], dtype=object)
+    return (w.sum() - (Xo * w) @ Xo.T) // 2
+
+
+class _PairWeights:
+    """Exact greedy weights of the live row pairs.
+
+    Column j has been crossed e_j times, so its mass is 2^e_j / sum_k 2^e_k.
+    The common denominator never changes which pair is lightest, so the
+    weight of a pair u < v is kept as the integer sum of 2^(e_j - base) over
+    the columns where rows u and v differ. Pairs with u >= v and pairs inside
+    one component are dead and hold +inf. While the total weight of the
+    varying columns stays at most _EXACT_LIMIT = 2^52, every partial sum of
+    an update is a multiple of 1/2 of magnitude at most 2^52, so float64
+    holds each weight exactly in any summation order. Past that, once
+    raising `base` no longer helps, the weights move to Python integers:
+    slow, but still exact.
+    """
+
+    def __init__(self, S: SignMatrix) -> None:
+        n, n_cols = S.shape
+        self.X = S.entries.astype(np.float64)
+        self.e = np.zeros(n_cols, dtype=np.int64)
+        self.total = n_cols  # sum_j 2^e_j, exactly
+        self.base = 0
+        self.varying = (S.entries != S.entries[0]).any(axis=0)
+        self.n_constant = n_cols - int(self.varying.sum())
+        self.W = (n_cols - self.X @ self.X.T) / 2.0  # Hamming distances
+        self.W[np.tri(n, dtype=bool)] = np.inf
+        self.exact: np.ndarray | None = None  # Python-int weights, in units of 2^0
+        self.dead: np.ndarray | None = None  # dead pairs of `exact`
+
+    def ties(self) -> np.ndarray:
+        """Flat indices (row-major) of the live pairs of least weight."""
+        if self.exact is None:
+            return np.flatnonzero(self.W == self.W.min())
+        cand = np.where(self.dead, np.inf, self.exact)
+        return np.flatnonzero(cand == cand.min())
+
+    def kill(self, A: list[int], B: list[int]) -> None:
+        """Mark every pair between components A and B dead."""
+        target, value = (self.W, np.inf) if self.exact is None else (self.dead, True)
+        target[np.ix_(A, B)] = value
+        target[np.ix_(B, A)] = value
+
+    def double(self, crossed: np.ndarray) -> float:
+        """Double the crossed columns and update the pair weights. Returns
+        the mass the crossed columns had before, correctly rounded."""
+        mass = sum(1 << int(k) for k in self.e[crossed])
+        x = mass / self.total
+        self.total += mass
+        if self.exact is None and self._scaled_total() > _EXACT_LIMIT:
+            self._rebase()
+            if self._scaled_total() > _EXACT_LIMIT:
+                self._to_exact()
+        XC = self.X[:, crossed]
+        if self.exact is None:
+            w = np.ldexp(1.0, self.e[crossed] - self.base)
+            self.W -= (XC * (0.5 * w)) @ XC.T
+            self.W += 0.5 * w.sum()
+        else:
+            self.exact += _int_diff_sums(XC, self.e[crossed])
+        self.e[crossed] += 1
+        return x
+
+    def _rebase(self) -> None:
+        """Raise base to the least count of a varying column. Every live
+        weight is a sum of powers of two at least that large, so the
+        rescaling is exact."""
+        shift = int(self.e[self.varying].min()) - self.base
+        self.W *= 0.5**shift
+        self.base += shift
+
+    def _to_exact(self) -> None:
+        """Move the weights to Python integers, in units of 2^0."""
+        self.exact = _int_diff_sums(self.X, self.e)
+        self.dead = np.isinf(self.W)
+        self.W = None
+
+    def _scaled_total(self) -> int:
+        """Total weight of the varying columns after this step's doubling,
+        in units of 2^base (constant columns have e_j = 0)."""
+        return (self.total - self.n_constant) >> self.base
+
+
 def welzl_path(
     S: SignMatrix, tie_rng: np.random.Generator, d: int | None = None
 ) -> tuple[RowOrdering, WelzlState]:
@@ -116,46 +212,41 @@ def welzl_path(
 
     Maintains a probability distribution over columns, repeatedly joins two
     components by a minimum-weight row pair (weight = probability mass of the
-    columns where the two rows differ, ties broken uniformly by `tie_rng`),
-    doubles the mass of the crossed columns, and finally converts the doubled
-    tree into a path via an Eulerian circuit, keeping the first visit of each
-    row.
+    columns where the two rows differ, ties broken uniformly by `tie_rng`
+    among exactly equal weights, in row-major pair order), doubles the mass
+    of the crossed columns, and finally converts the doubled tree into a path
+    via an Eulerian circuit, keeping the first visit of each row. Weights
+    are compared exactly, so the output depends on the seed alone, not on
+    the BLAS library or its thread count; memory is O(n^2) for n rows.
 
     With d an upper bound on the VC dimension, every recorded edge weight
     satisfies x_i <= 4e^2 (N-i)^(-1/d) and the output has at most
-    200 N^(1-1/d) sign changes in every column.
+    200 N^(1-1/d) sign changes in every column. The greedy itself does not
+    read d.
     """
     if not has_distinct_rows(S):
         raise ValueError("rows must be pairwise distinct (apply distinct_rows first)")
     n, n_cols = S.n_rows, S.n_cols
-    if d is None:
-        d = vc_dimension(S)
-    d = max(int(d), 1)
-    p = np.full(n_cols, 1.0 / n_cols)
-    state = WelzlState(p=p, forest_edges=[], component=np.arange(n))
+    state = WelzlState(
+        p=np.full(n_cols, 1.0 / n_cols), forest_edges=[], component=np.arange(n)
+    )
     if n == 1:
         return count_sign_changes(S, (0,)), state
 
-    diff = S.entries[:, None, :] != S.entries[None, :, :]
-    diff_f = diff.astype(np.float64)
+    weights = _PairWeights(S)
     comp = state.component
-    lower = np.tril_indices(n)
-    for step in range(n - 1):
-        W = diff_f @ p
-        cand = np.where(comp[:, None] != comp[None, :], W, np.inf)
-        cand[lower] = np.inf
-        w_min = cand.min()
-        ties = np.flatnonzero(cand == w_min)
+    members = {i: [i] for i in range(n)}
+    for _ in range(n - 1):
+        ties = weights.ties()
         pick = int(ties[tie_rng.integers(len(ties))])
         u, v = divmod(pick, n)
-        crossed = np.flatnonzero(diff[u, v])
-        p, x = doubling_update(p, crossed)
+        A, B = members[comp[u]], members.pop(comp[v])
+        weights.kill(A, B)
+        comp[B] = comp[u]
+        A.extend(B)
         state.forest_edges.append((u, v))
-        state.x_log.append(x)
-        comp[comp == comp[v]] = comp[u]
-        if (step + 1) % 64 == 0:
-            p = p / p.sum()
-    state.p = p
+        state.x_log.append(weights.double(np.flatnonzero(S.entries[u] != S.entries[v])))
+    state.p = np.array([(1 << int(k)) / weights.total for k in weights.e])
 
     circuit = _euler_circuit_doubled(n, state.forest_edges)
     seen: set[int] = set()
@@ -232,6 +323,18 @@ def vc1_path(S: SignMatrix) -> RowOrdering:
     for min_id, twin_id in reversed(lifts):
         order.insert(order.index(min_id) + 1, twin_id)
     return count_sign_changes(S, order)
+
+
+def low_stabbing_order(
+    S: SignMatrix, rng: np.random.Generator, vc: int
+) -> tuple[RowOrdering, str, WelzlState | None]:
+    """Row ordering of a distinct-row matrix of VC dimension `vc`: the VC-1
+    constructor (method "vc1") when vc <= 1, else the Welzl greedy (method
+    "welzl", with its state)."""
+    if vc <= 1:
+        return vc1_path(S), "vc1", None
+    ordering, state = welzl_path(S, rng, d=vc)
+    return ordering, "welzl", state
 
 
 @lru_cache(maxsize=None)

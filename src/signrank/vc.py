@@ -225,22 +225,28 @@ def is_maximum_class(C: ConceptClass, d: int) -> bool:
     return vc_dimension(C.matrix) == d
 
 
+def cube_connected(vertices: Iterable[int], n_bits: int) -> bool:
+    """True iff the non-empty set of vertex masks induces a connected
+    subgraph of the n_bits cube (edges between masks at Hamming distance
+    one)."""
+    vertices = set(vertices)
+    start = next(iter(vertices))
+    seen = {start}
+    stack = [start]
+    while stack:
+        m = stack.pop()
+        for j in range(n_bits):
+            nb = m ^ (1 << j)
+            if nb in vertices and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(vertices)
+
+
 def is_cube_connected(C: ConceptClass) -> bool:
     """True iff the one-inclusion graph (rows as vertices, edges between rows
     at Hamming distance one) is connected."""
-    masks = C.matrix.row_masks
-    index = {m: i for i, m in enumerate(masks)}
-    n_cols = C.n_cols
-    seen = {masks[0]}
-    stack = [masks[0]]
-    while stack:
-        m = stack.pop()
-        for j in range(n_cols):
-            nb = m ^ (1 << j)
-            if nb in index and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(masks)
+    return cube_connected(C.matrix.row_masks, C.n_cols)
 
 
 def max_projections(S: SignMatrix, t: int) -> int:

@@ -87,6 +87,19 @@ def test_analyze_nonconvergence_exit_code(tmp_path, capsys):
     assert json.loads(out.read_text())["bracket"]
 
 
+def test_analyze_converged_power_runs_exit_zero(tmp_path, capsys):
+    """interval_class(3): every power run converges within the default cap,
+    though their iterations summed exceed it."""
+    matrix = tmp_path / "intervals.txt"
+    assert main(["gen", "intervals", "--p", "3", "--out", str(matrix)]) == 0
+    code, out, _ = run_cli(capsys, "analyze", str(matrix))
+    assert code == 0
+    assert json.loads(out)["bracket"]
+    code, out, _ = run_cli(capsys, "bounds", str(matrix))
+    assert code == 0
+    assert json.loads(out)["spectrum"]["iterations"] >= 400
+
+
 def test_enumerate_exact(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--d", "1")
     assert code == 0

@@ -1,9 +1,14 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from signrank import stabbing
 from signrank import (
     SignMatrix,
     SizeLimitError,
@@ -14,6 +19,7 @@ from signrank import (
     grid_hyperplane,
     haussler_packing_limit,
     line_subset_random,
+    low_stabbing_order,
     projective_incidence,
     sc_star_bruteforce,
     signed_identity,
@@ -210,3 +216,125 @@ def test_haussler_packing_limit():
         haussler_packing_limit(2, 0.0)
     with pytest.raises(ValueError):
         haussler_packing_limit(-1, 0.5)
+
+
+def reference_welzl(S, rng):
+    """The greedy with Python-int weights: the weight of a pair is the sum of
+    2^e_j over the columns where it differs, e_j counting how often column j
+    was crossed. Same tie order (row-major over u < v) and RNG draws as
+    welzl_path."""
+    rows = S.row_tuples()
+    n, m = S.n_rows, S.n_cols
+    e = [0] * m
+    comp = list(range(n))
+    edges, xs = [], []
+    for _ in range(n - 1):
+        best, ties = None, []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if comp[u] == comp[v]:
+                    continue
+                w = sum(1 << e[j] for j in range(m) if rows[u][j] != rows[v][j])
+                if best is None or w < best:
+                    best, ties = w, [(u, v)]
+                elif w == best:
+                    ties.append((u, v))
+        u, v = ties[rng.integers(len(ties))]
+        crossed = [j for j in range(m) if rows[u][j] != rows[v][j]]
+        xs.append(sum(1 << e[j] for j in crossed) / sum(1 << k for k in e))
+        for j in crossed:
+            e[j] += 1
+        old = comp[v]
+        comp = [comp[u] if c == old else c for c in comp]
+        edges.append((u, v))
+    first = {}
+    for r in stabbing._euler_circuit_doubled(n, edges):
+        first.setdefault(r, len(first))
+    return edges, xs, tuple(sorted(first, key=first.get)), e
+
+
+def oracle_instances():
+    rng = np.random.default_rng(21)
+    mats = [random_distinct_matrix(rng, max_rows=12, max_cols=8) for _ in range(12)]
+    mats += [
+        projective_incidence(2),
+        projective_incidence(3),
+        grid_hyperplane(3, 2),
+        # a constant column, which never enters any pair weight
+        SignMatrix([[1, 1, -1], [1, -1, 1], [1, -1, -1], [1, 1, 1]]),
+    ]
+    return [S for S in mats if S.n_rows > 1]
+
+
+def check_against_oracle(S, seed):
+    ordering, state = welzl_path(S, np.random.default_rng(seed), d=2)
+    edges, xs, perm, e = reference_welzl(S, np.random.default_rng(seed))
+    assert state.forest_edges == edges
+    assert state.x_log == xs
+    assert ordering.permutation == perm
+    total = sum(1 << k for k in e)
+    assert state.p.tolist() == [(1 << k) / total for k in e]
+
+
+def test_welzl_matches_exact_oracle():
+    for k, S in enumerate(oracle_instances()):
+        check_against_oracle(S, k)
+
+
+def test_welzl_matches_exact_oracle_past_float_limit(monkeypatch):
+    """With the float64 ceiling forced low, the greedy rebases and then
+    moves to Python-int weights, and must still agree with the oracle."""
+    shifts, switches = [], []
+    rebase, to_exact = stabbing._PairWeights._rebase, stabbing._PairWeights._to_exact
+
+    def spy_rebase(self):
+        before = self.base
+        rebase(self)
+        shifts.append(self.base - before)
+
+    def spy_to_exact(self):
+        switches.append(self.base)
+        to_exact(self)
+
+    monkeypatch.setattr(stabbing._PairWeights, "_rebase", spy_rebase)
+    monkeypatch.setattr(stabbing._PairWeights, "_to_exact", spy_to_exact)
+    for limit in (2**3, 2**5, 2**8):
+        monkeypatch.setattr(stabbing, "_EXACT_LIMIT", limit)
+        for k, S in enumerate(oracle_instances()):
+            check_against_oracle(S, k)
+    assert any(shift > 0 for shift in shifts)
+    assert switches
+
+
+def test_welzl_edges_do_not_depend_on_blas_threads():
+    """Exact tie sets: one and two BLAS threads give the same trees."""
+    code = (
+        "import json, numpy as np\n"
+        "from signrank import distinct_rows, interval_class, projective_incidence, welzl_path\n"
+        "mats = [projective_incidence(5), distinct_rows(interval_class(3).matrix)]\n"
+        "edges = [welzl_path(S, np.random.default_rng(3), d=2)[1].forest_edges for S in mats]\n"
+        "print(json.dumps(edges))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabbing.__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
+    assert all(len(edges) > 0 for edges in runs[0])
+
+
+def test_low_stabbing_order_dispatch():
+    S = signed_identity(5)
+    ordering, method, state = low_stabbing_order(S, np.random.default_rng(0), 1)
+    assert (ordering, method, state) == (vc1_path(S), "vc1", None)
+    G = grid_hyperplane(3, 2)
+    ordering, method, state = low_stabbing_order(G, np.random.default_rng(4), 2)
+    expected, expected_state = welzl_path(G, np.random.default_rng(4), d=2)
+    assert (ordering, method) == (expected, "welzl")
+    assert state.forest_edges == expected_state.forest_edges

@@ -14,6 +14,7 @@ from signrank import (
     hamming_ball,
     interval_class,
     is_antipodally_shattered,
+    cube_connected,
     is_cube_connected,
     is_maximum_class,
     is_shattered,
@@ -127,6 +128,14 @@ def test_is_maximum_class():
 def test_is_cube_connected():
     assert is_cube_connected(hamming_ball(3, 1))
     assert not is_cube_connected(ConceptClass(SignMatrix([[1, 1], [-1, -1]])))
+
+
+def test_cube_connected_vertex_sets():
+    assert cube_connected({0b00, 0b01, 0b11}, 2)
+    assert not cube_connected({0b00, 0b11}, 2)
+    assert cube_connected({0b101}, 3)
+    # 0b000 and 0b100 differ in bit 2, which a 2-bit cube does not have
+    assert not cube_connected({0b000, 0b100}, 2)
 
 
 def test_max_projections_examples():
