@@ -24,7 +24,7 @@ from .embed import (
     signrank_bracket,
     verify_realization,
 )
-from .errors import MatrixFormatError, SizeLimitError
+from .errors import CertificationError, MatrixFormatError, SizeLimitError
 from .generators import (
     LineOrders,
     ProjectiveSpace,
@@ -62,6 +62,7 @@ from .spectral import (
     spectral_signrank_lower,
     star_norm_floor,
     top_singular_values,
+    witness_bounds,
     witness_feasible,
 )
 from .stabbing import (

@@ -1,8 +1,9 @@
 """Command line front end: generate matrices, compute certificates, emit
 reproducible JSON reports.
 
-Exit codes: 0 success, 2 input error, 3 size-limit rejection, 4 numerical
-non-convergence (the report is still written).
+Exit codes: 0 success, 2 input error, 3 size-limit rejection, 4 a
+certificate could not be verified and was left out (listed under `skipped`;
+the report is still written). Exit 4 is read off the report alone.
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ from .embed import signrank_bracket
 from .errors import MatrixFormatError, SizeLimitError
 from .matrix import parse_sign_matrix, regularity, to_boolean, distinct_rows
 from .spectral import (
-    MAX_ITERATIONS,
-    identity_witness,
-    forster_bound,
     regular_upper_bound,
     sigma2_trace_floor,
-    spectral_signrank_lower,
     star_norm_floor,
     top_singular_values,
+    witness_bounds,
 )
 from .stabbing import low_stabbing_order
 from .vc import dual_sign_rank, vc_dimension
@@ -36,7 +34,7 @@ from .vc import dual_sign_rank, vc_dimension
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SIZE = 3
-EXIT_NUMERIC = 4
+EXIT_UNCERTIFIED = 4
 
 
 def _round_floats(obj):
@@ -100,14 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for flags, kwargs in (
         (("--seed",), dict(type=int, help="seed for all randomness")),
-        (("--tol",), dict(type=float, help="numerical tolerance")),
-        (("--budget",), dict(type=int, help="iteration budget for searches")),
+        (("--budget",), dict(type=int, help="hinge alternations per restart in analyze")),
         (("--out",), dict(help="output path (default stdout)")),
         (("--format",), dict(choices=("text", "json"))),
     ):
         parser.add_argument(*flags, **kwargs)
         common.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
-    parser.set_defaults(seed=0, tol=1e-9, budget=400, out=None, format="json")
+    parser.set_defaults(seed=0, budget=400, out=None, format="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser(
@@ -204,16 +201,11 @@ def _cmd_analyze(args) -> int:
         rng,
         instance=os.path.basename(args.input),
         hinge_alternations=args.budget,
-        tol=args.tol,
     )
     doc = report.to_json_dict()
     doc["approx_sign_rank"] = report.welzl_max_sc + 1
     _emit(doc, args.out, args.format)
-    cap = max(1, min(MAX_ITERATIONS, args.budget))
-    summary = top_singular_values(S.entries.astype(float), tol=args.tol, max_iterations=cap)
-    if summary.longest_run >= cap:
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_UNCERTIFIED if report.skipped else EXIT_OK
 
 
 def _cmd_approx(args) -> int:
@@ -255,12 +247,15 @@ def _cmd_path(args) -> int:
     return EXIT_OK
 
 
+# Report keys of the witness bounds in `bounds`.
+_BOUNDS_KEYS = {"forster": "forster_identity", "spectral": "spectral_lower_bound"}
+
+
 def _cmd_bounds(args) -> int:
     S = _load_matrix(args.input)
     B = to_boolean(S)
     info = regularity(B)
-    cap = max(1, min(MAX_ITERATIONS, args.budget))
-    summary = top_singular_values(S.entries.astype(float), tol=args.tol, max_iterations=cap)
+    summary = top_singular_values(S.entries.astype(float))
     vc = vc_dimension(S)
     doc = {
         "instance": os.path.basename(args.input),
@@ -270,25 +265,20 @@ def _cmd_bounds(args) -> int:
         "dual": dual_sign_rank(S, vc=vc),
         "is_regular": info.degree is not None,
         "degree": info.degree,
-        "spectrum": {
-            "sigma1": summary.sigma1,
-            "sigma2": summary.sigma2,
-            "residual": summary.residual,
-            "iterations": summary.iterations,
-        },
+        "spectrum": {"sigma1": summary.sigma1, "sigma2": summary.sigma2},
     }
+    skipped: list[tuple[str, str]] = []
     if S.n_rows == S.n_cols:
         doc["star_norm_floor"] = star_norm_floor(S)
-        doc["forster_identity"] = forster_bound(S, identity_witness(S, tol=args.tol))
+        bounds, skipped = witness_bounds(S)
+        doc.update((_BOUNDS_KEYS[m], v) for m, v in bounds)
     if info.degree is not None:
         doc["sigma2_trace_floor"] = sigma2_trace_floor(B)
         doc["regular_upper_bound"] = regular_upper_bound(S)
-        if info.degree >= 1 and 2 * info.degree <= S.n_rows:
-            doc["spectral_lower_bound"] = spectral_signrank_lower(S, tol=args.tol)
+    if skipped:
+        doc["skipped"] = [{"method": _BOUNDS_KEYS[m], "reason": r} for m, r in skipped]
     _emit(doc, args.out, args.format)
-    if summary.longest_run >= cap:
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_UNCERTIFIED if skipped else EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:

@@ -17,12 +17,7 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .matrix import SignMatrix, distinct_rows, has_distinct_rows, regularity, to_boolean
-from .spectral import (
-    forster_bound,
-    identity_witness,
-    integer_certificate,
-    spectral_signrank_lower,
-)
+from .spectral import integer_certificate, witness_bounds
 from .stabbing import low_stabbing_order
 from .vc import dual_sign_rank, vc_dimension
 
@@ -67,26 +62,30 @@ class BoundReport:
     vc: int
     dual: int
     lower_bounds: list[tuple[str, float]]
-    upper_bounds: list[tuple[str, int, str | None]]
+    upper_bounds: list[tuple[str, int]]
     bracket: tuple[int, int]
     welzl_max_sc: int
     welzl_constant: float | None
+    skipped: list[tuple[str, str]]  # (method, reason) of uncertified bounds
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "instance": self.instance,
             "n_rows": self.n_rows,
             "n_cols": self.n_cols,
             "vc": self.vc,
             "dual": self.dual,
             "lower": [{"method": m, "value": v} for m, v in self.lower_bounds],
-            "upper": [{"method": m, "value": v} for m, v, _ in self.upper_bounds],
+            "upper": [{"method": m, "value": v} for m, v in self.upper_bounds],
             "bracket": list(self.bracket),
             "welzl": {
                 "max_sc": self.welzl_max_sc,
                 "constant_observed": self.welzl_constant,
             },
         }
+        if self.skipped:
+            doc["skipped"] = [{"method": m, "reason": r} for m, r in self.skipped]
+        return doc
 
 
 def _cyc_mid(a: Fraction, b: Fraction) -> Fraction:
@@ -192,8 +191,10 @@ def _embed_recursive(
     return angles, planes
 
 
-def embed_vc1(S: SignMatrix) -> PlanarRealization:
-    """Embed a distinct-row matrix of VC dimension at most one in the plane.
+def embed_vc1(S: SignMatrix, vc: int | None = None) -> PlanarRealization:
+    """Embed a distinct-row matrix of VC dimension at most one in the plane
+    (`vc`, when given, is taken as the VC dimension instead of recomputing
+    it).
 
     Rows map to unit-circle points and columns to halfplanes, recursing on
     columns: a column with a unique minority entry is realized by a chord
@@ -204,7 +205,7 @@ def embed_vc1(S: SignMatrix) -> PlanarRealization:
     """
     if not has_distinct_rows(S):
         raise ValueError("rows must be pairwise distinct (apply distinct_rows first)")
-    if vc_dimension(S) > 1:
+    if (vc_dimension(S) if vc is None else vc) > 1:
         raise ValueError("matrix has VC dimension at least 2")
     rows = [(i, t) for i, t in enumerate(S.row_tuples())]
     angles, planes = _embed_recursive(rows, list(range(S.n_cols)))
@@ -340,7 +341,6 @@ def signrank_bracket(
     instance: str = "",
     hinge_restarts: int = 6,
     hinge_alternations: int = 400,
-    tol: float = 1e-9,
 ) -> BoundReport:
     """Assemble every available certificate into a sign-rank bracket.
 
@@ -349,7 +349,9 @@ def signrank_bracket(
     bounds: one plus the sign changes of a low-stabbing path, three when the
     VC dimension is at most one (verified planar embedding), 2*degree + 1 for
     regular matrices, and any verified factorization found at the current
-    lower end. A failed factorization search never moves the lower end.
+    lower end. A failed factorization search never moves the lower end, and a
+    witness bound whose norm could not be certified is left out and listed in
+    `skipped`.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -359,32 +361,30 @@ def signrank_bracket(
     lower: list[tuple[str, float]] = [("dual_sign_rank", float(dual))]
     square = S.n_rows == S.n_cols
     info = regularity(to_boolean(S)) if square else None
-    if square:
-        lower.append(("forster", forster_bound(S, identity_witness(S, tol=tol))))
-        if info.degree is not None and info.degree >= 1 and 2 * info.degree <= S.n_rows:
-            lower.append(("spectral", spectral_signrank_lower(S, tol=tol)))
+    witnessed, skipped = witness_bounds(S) if square else ([], [])
+    lower += witnessed
 
-    upper: list[tuple[str, int, str | None]] = []
+    upper: list[tuple[str, int]] = []
     welzl_constant = None
     ordering, method, _ = low_stabbing_order(Sd, rng, vc)
-    upper.append((f"path_{method}", ordering.max_sign_changes + 1, None))
+    upper.append((f"path_{method}", ordering.max_sign_changes + 1))
     if vc <= 1:
-        realization = embed_vc1(Sd)
+        realization = embed_vc1(Sd, vc)
         if verify_realization(realization, Sd):
-            upper.append(("planar_embedding", 3, "planar"))
+            upper.append(("planar_embedding", 3))
     else:
         welzl_constant = ordering.max_sign_changes / Sd.n_rows ** (1.0 - 1.0 / vc)
     if info is not None and info.degree is not None:
-        upper.append(("regular_degree", 2 * info.degree + 1, None))
+        upper.append(("regular_degree", 2 * info.degree + 1))
 
     lo = max(1, integer_certificate(max(v for _, v in lower)))
-    hi = min(v for _, v, _ in upper)
+    hi = min(v for _, v in upper)
     if lo < hi:
         witness = hinge_search_upper(
             Sd, lo, rng, restarts=hinge_restarts, max_alternations=hinge_alternations
         )
         if witness is not None:
-            upper.append(("factorization", lo, "hinge"))
+            upper.append(("factorization", lo))
             hi = lo
     if lo > hi:
         raise AssertionError(
@@ -401,4 +401,5 @@ def signrank_bracket(
         bracket=(lo, hi),
         welzl_max_sc=ordering.max_sign_changes,
         welzl_constant=welzl_constant,
+        skipped=skipped,
     )

@@ -15,3 +15,8 @@ class MatrixFormatError(ValueError):
 
 class SizeLimitError(ValueError):
     """Raised when an exact computation would exceed its documented size limit."""
+
+
+class CertificationError(ArithmeticError):
+    """Raised when a verifier cannot certify a bound. The bound is left out
+    of a report rather than replaced by an unverified estimate."""

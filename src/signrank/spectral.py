@@ -1,192 +1,124 @@
-"""Singular-value estimates and spectral sign-rank certificates.
+"""Singular values and certified spectral sign-rank certificates.
 
 Lower bounds on sign rank come from feasible witness matrices: any real W
 with W_ij * S_ij >= 1 entrywise certifies sign-rank(S) >= N / ||W||. The
 identity witness W = S is always feasible; for a regular matrix the witness
-(N/degree) B - J is feasible and its norm is controlled by the second
-singular value of B, which is where a spectral gap pays off.
+(N/degree) B - J is feasible, and since it kills the all-ones vector its
+norm is (N/degree) sigma2(B), which is where a spectral gap pays off.
+
+Such a bound is sound only if ||W|| is an upper bound, never an estimate
+that may err low. Every witness norm therefore comes from one verifier,
+`_certified_norm`: a LAPACK estimate of sigma1 is raised until a
+floating-point Cholesky test (Rump, "Verification of positive definiteness",
+BIT 2006) proves t^2 I - W^T W positive semidefinite. A witness whose norm
+cannot be certified raises `CertificationError`, and `witness_bounds`
+reports such a bound as skipped instead of using it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import CertificationError
 from .matrix import BooleanMatrix, SignMatrix, regularity, to_boolean
 
-DEFAULT_TOL = 1e-9
-MAX_ITERATIONS = 10_000
+# Unit roundoff of float64.
+_U = 2.0**-53
+# Verifier attempts; attempt k tries t^2 = sigma^2 (1 + 2^k n u).
+_CERTIFY_ATTEMPTS = 12
 
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Top two singular values with the convergence evidence for both:
-    `iterations` is summed over every power run, `longest_run` is the most
-    any single run used (a run that reaches its cap has not converged)."""
+    """Top two singular values (LAPACK estimates, not certified bounds)."""
 
     sigma1: float
     sigma2: float
-    residual: float
-    iterations: int
-    longest_run: int
 
 
 @dataclass(frozen=True, eq=False)
 class WitnessMatrix:
     """A real matrix W paired with a sign matrix, satisfying W*S >= 1
-    entrywise; ||W|| upper-bounds the smallest feasible spectral norm."""
+    entrywise; `spectral_norm` is a certified upper bound on ||W|| (0 when
+    not yet certified)."""
 
     matrix: np.ndarray
     provenance: str
     spectral_norm: float
 
 
-def _power_single(
-    apply: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
-    tol: float,
-    max_iterations: int,
-) -> tuple[float, np.ndarray, float, int] | None:
-    """Power iteration from one start vector on a PSD operator.
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
 
-    Returns (eigenvalue estimate, vector, relative residual, iterations), or
-    None when the start lies in the exact kernel (or is zero). The estimate
-    ||apply(v)|| of a unit vector never exceeds the true top eigenvalue, so
-    estimates from different starts can be combined by taking the maximum.
+
+def _certified_norm(W: np.ndarray) -> float | None:
+    """A float t with ||W||_2 <= t proven, or None when every attempt fails.
+
+    Attempt k sets T = s^2 (1 + 2^k n u), with s the LAPACK estimate of
+    sigma1, raised to at least every diagonal entry of G = fl(W^T W) (n x n,
+    W taken with m >= n rows), and factorizes A = fl(T I - G), which rounds
+    only on the diagonal. A completed Cholesky factorization gives
+    R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R| (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3, any inner-product order), so
+    ||dA|| <= gamma_{n+1} / (1 - gamma_{n+1}) tr(A). Forming G errs by at
+    most gamma_m ||W||_F^2 in norm and the diagonal of A by at most u T.
+    Since A + dA is positive semidefinite, ||W||^2 <= T plus those three
+    terms plus n 2^-1000 for underflow. The slack is doubled to cover the
+    rounding in evaluating it, and the sum and its square root are rounded
+    up.
     """
-    nrm = float(np.linalg.norm(start))
-    if nrm < 1e-300:
+    A = np.asarray(W, dtype=float)
+    if not np.isfinite(A).all():
         return None
-    v = start / nrm
-    lam: float | None = None
-    used = 0
-    while used < max_iterations:
-        used += 1
-        w = apply(v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return None
-        v_new = w / nw
-        if lam is not None and abs(nw - lam) <= tol * max(nw, 1e-30):
-            res = float(np.linalg.norm(apply(v_new) - nw * v_new)) / max(nw, 1e-30)
-            return nw, v_new, res, used
-        lam, v = nw, v_new
-    res = float(np.linalg.norm(apply(v) - (lam or 0.0) * v)) / max(lam or 1.0, 1e-30)
-    return lam or 0.0, v, res, used
-
-
-def _power_best(
-    apply: Callable[[np.ndarray], np.ndarray],
-    starts: Iterable[np.ndarray],
-    tol: float,
-    max_iterations: int,
-) -> tuple[float, np.ndarray | None, float, int, int]:
-    """Run the power iteration from every start and keep the largest value.
-    Also returns the iterations summed over the runs and the longest run.
-
-    A single deterministic start can coincide with a non-dominant eigenvector
-    (the all-ones vector often does on structured matrices), in which case
-    the iteration converges with a clean residual to the wrong value; pairing
-    it with a generic start and maximizing repairs that while staying
-    deterministic.
-    """
-    best: tuple[float, np.ndarray | None, float] = (0.0, None, 0.0)
-    used = longest = 0
-    for start in starts:
-        result = _power_single(apply, start, tol, max_iterations)
-        if result is None:
+    if A.shape[0] < A.shape[1]:
+        A = A.T
+    m, n = A.shape
+    G = A.T @ A
+    s = float(np.linalg.svd(A, compute_uv=False)[0])
+    floor = float(G.diagonal().max())
+    frobenius = float(np.square(A).sum())
+    g = _gamma(n + 1)
+    for k in range(_CERTIFY_ATTEMPTS):
+        T = max(s * s * (1.0 + 2.0**k * n * _U), floor)
+        shifted = T * np.eye(n) - G
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
             continue
-        lam, vec, res, its = result
-        used += its
-        longest = max(longest, its)
-        if lam > best[0]:
-            best = (lam, vec, res)
-    return best[0], best[1], best[2], used, longest
+        slack = 2.0 * (
+            g / (1.0 - g) * float(shifted.trace())
+            + _gamma(m) * frobenius
+            + _U * T
+            + n * 2.0**-1000
+        )
+        return float(np.nextafter(math.sqrt(np.nextafter(T + slack, math.inf)), math.inf))
+    return None
 
 
-def _generic_start(g: int) -> np.ndarray:
-    # Fixed seed: deterministic, yet in general position with respect to any
-    # particular matrix structure.
-    return np.random.default_rng(0x51A9).standard_normal(g)
+def _require_certified(W: np.ndarray, what: str) -> float:
+    norm = _certified_norm(W)
+    if norm is None:
+        raise CertificationError(
+            f"the norm of the {what} could not be certified "
+            f"in {_CERTIFY_ATTEMPTS} Cholesky attempts"
+        )
+    return norm
 
 
-def _first_basis_start(g: int, against: np.ndarray | None = None) -> np.ndarray:
-    e = np.zeros(g)
-    e[0] = 1.0
-    if against is not None:
-        e = e - (against @ e) * against
-    return e
-
-
-def top_singular_values(
-    M, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIONS
-) -> SpectrumSummary:
-    """sigma1 and sigma2 of a real matrix via power iteration on the Gram
-    matrix, with the leading singular pair deflated by projection.
-
-    Start vectors are deterministic: the all-ones vector for the leading
-    value, then coordinate basis vectors orthogonalized against the leading
-    singular vector. Hitting the iteration cap is not fatal; the residual
-    field carries the convergence evidence either way.
-    """
+def top_singular_values(M) -> SpectrumSummary:
+    """sigma1 and sigma2 (0 for a single row or column) of a real matrix,
+    from LAPACK's SVD. These are estimates; witness norms are certified by
+    the verifier instead."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("expected a non-empty 2-d matrix")
     if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
-    B = A if A.shape[0] >= A.shape[1] else A.T
-    G = B.T @ B
-    g = G.shape[0]
-
-    starts1 = [np.ones(g), _generic_start(g)]
-    lam1, v1, res1, it1, long1 = _power_best(lambda v: G @ v, starts1, tol, max_iterations)
-    sigma1 = math.sqrt(max(lam1, 0.0))
-    if v1 is None or g == 1:
-        return SpectrumSummary(sigma1, 0.0, res1, it1, long1)
-
-    def deflated(v: np.ndarray) -> np.ndarray:
-        u = v - (v1 @ v) * v1
-        w = G @ u
-        return w - (v1 @ w) * v1
-
-    starts2 = [
-        _first_basis_start(g, against=v1),
-        _generic_start(g) - (v1 @ _generic_start(g)) * v1,
-    ]
-    lam2, _, res2, it2, long2 = _power_best(deflated, starts2, tol, max_iterations)
-    sigma2 = min(math.sqrt(max(lam2, 0.0)), sigma1)
-    return SpectrumSummary(
-        sigma1, sigma2, max(res1, res2), it1 + it2, max(long1, long2)
-    )
-
-
-def _second_singular_regular(
-    B: np.ndarray, tol: float, max_iterations: int
-) -> tuple[float, float, int]:
-    """sigma2 of a regular boolean matrix.
-
-    The top singular pair of a regular matrix is the normalized all-ones
-    vector with value equal to the degree, so it is deflated analytically by
-    projecting onto the ones-orthogonal complement.
-    """
-    n = B.shape[0]
-    G = B.T @ B
-    ones = np.full(n, 1.0 / math.sqrt(n))
-
-    def deflated(v: np.ndarray) -> np.ndarray:
-        u = v - (ones @ v) * ones
-        w = G @ u
-        return w - (ones @ w) * ones
-
-    starts = [
-        _first_basis_start(n, against=ones),
-        _generic_start(n) - (ones @ _generic_start(n)) * ones,
-    ]
-    lam, _, res, used, _ = _power_best(deflated, starts, tol, max_iterations)
-    return math.sqrt(max(lam, 0.0)), res, used
+    s = np.linalg.svd(A, compute_uv=False)
+    return SpectrumSummary(float(s[0]), float(s[1]) if len(s) > 1 else 0.0)
 
 
 def witness_feasible(W: WitnessMatrix, S: SignMatrix) -> bool:
@@ -196,13 +128,13 @@ def witness_feasible(W: WitnessMatrix, S: SignMatrix) -> bool:
     return bool((W.matrix * S.entries >= 1.0).all())
 
 
-def identity_witness(S: SignMatrix, tol: float = DEFAULT_TOL) -> WitnessMatrix:
+def identity_witness(S: SignMatrix) -> WitnessMatrix:
     """W = S itself; feasible since every entry has absolute value one."""
-    norm = top_singular_values(S.entries, tol=tol).sigma1
-    return WitnessMatrix(S.entries.astype(float), "identity-witness", norm)
+    W = S.entries.astype(float)
+    return WitnessMatrix(W, "identity-witness", _require_certified(W, "identity witness"))
 
 
-def regular_witness(S: SignMatrix, tol: float = DEFAULT_TOL) -> WitnessMatrix:
+def regular_witness(S: SignMatrix) -> WitnessMatrix:
     """W = (N/degree) B - J for a regular sign matrix with degree <= N/2.
 
     W kills the all-ones vector, so its norm is (N/degree) sigma2(B); the
@@ -218,45 +150,53 @@ def regular_witness(S: SignMatrix, tol: float = DEFAULT_TOL) -> WitnessMatrix:
     if 2 * degree > n:
         raise ValueError(f"degree {degree} exceeds half the order {n}")
     W = (n / degree) * B.entries.astype(float) - 1.0
-    witness = WitnessMatrix(W, "regular-witness", 0.0)
+    witness = WitnessMatrix(W, "regular-witness", _require_certified(W, "regular witness"))
     if not witness_feasible(witness, S):
         raise AssertionError("regular witness is not feasible for S")
-    sigma2, _, _ = _second_singular_regular(
-        B.entries.astype(float), tol, MAX_ITERATIONS
-    )
-    return WitnessMatrix(W, "regular-witness", (n / degree) * sigma2)
+    return witness
 
 
 def forster_bound(S: SignMatrix, W: WitnessMatrix) -> float:
-    """N / ||W||: a lower bound on the sign rank of S for any feasible W."""
+    """N / ||W||: a lower bound on the sign rank of S for any feasible W.
+    A witness without a norm (spectral_norm <= 0) is certified here."""
     if S.n_rows != S.n_cols:
         raise ValueError("this bound needs a square matrix")
     if not witness_feasible(W, S):
         raise ValueError("witness is not feasible for this matrix")
     norm = W.spectral_norm
     if norm <= 0.0:
-        norm = top_singular_values(W.matrix).sigma1
+        norm = _require_certified(W.matrix, W.provenance)
     return S.n_rows / norm
 
 
-def spectral_signrank_lower(S: SignMatrix, tol: float = DEFAULT_TOL) -> float:
-    """degree / sigma2(B) for a regular sign matrix with degree <= N/2; equal
-    to the bound obtained from the regular witness."""
-    B = to_boolean(S)
-    info = regularity(B)
-    if info.degree is None:
-        raise ValueError("matrix is not regular")
-    degree = info.degree
-    if degree == 0:
-        raise ValueError("degree 0 is degenerate")
-    if 2 * degree > S.n_rows:
-        raise ValueError(f"degree {degree} exceeds half the order {S.n_rows}")
-    sigma2, _, _ = _second_singular_regular(
-        B.entries.astype(float), tol, MAX_ITERATIONS
-    )
-    if sigma2 < 1e-12:
-        raise ValueError("second singular value vanished; bound is degenerate")
-    return degree / sigma2
+def spectral_signrank_lower(S: SignMatrix) -> float:
+    """degree / sigma2(B) for a regular sign matrix with degree <= N/2: the
+    Forster bound of the regular witness."""
+    return forster_bound(S, regular_witness(S))
+
+
+def witness_bounds(
+    S: SignMatrix,
+) -> tuple[list[tuple[str, float]], list[tuple[str, str]]]:
+    """The witness lower bounds of a square sign matrix, as (bounds, skipped).
+
+    Bounds are "forster" (identity witness) and, for a regular S with
+    1 <= degree <= N/2, "spectral" (regular witness). A bound whose witness
+    norm could not be certified is left out and listed in skipped as
+    (method, reason).
+    """
+    methods = [("forster", lambda: forster_bound(S, identity_witness(S)))]
+    info = regularity(to_boolean(S))
+    if info.degree is not None and 1 <= info.degree and 2 * info.degree <= S.n_rows:
+        methods.append(("spectral", lambda: spectral_signrank_lower(S)))
+    bounds: list[tuple[str, float]] = []
+    skipped: list[tuple[str, str]] = []
+    for method, bound in methods:
+        try:
+            bounds.append((method, bound()))
+        except CertificationError as exc:
+            skipped.append((method, str(exc)))
+    return bounds, skipped
 
 
 def star_norm_floor(S: SignMatrix) -> float:

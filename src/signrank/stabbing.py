@@ -258,9 +258,10 @@ def welzl_path(
     return count_sign_changes(S, perm), state
 
 
-def vc1_path(S: SignMatrix) -> RowOrdering:
+def vc1_path(S: SignMatrix, vc: int | None = None) -> RowOrdering:
     """Row ordering with at most two sign changes per column, for matrices of
-    VC dimension at most one with distinct rows.
+    VC dimension at most one with distinct rows (`vc`, when given, is taken
+    as the VC dimension instead of recomputing it).
 
     Peels one column at a time: constant columns are dropped outright, and
     otherwise some column has a unique minority entry, so it has at most two
@@ -270,7 +271,7 @@ def vc1_path(S: SignMatrix) -> RowOrdering:
     """
     if not has_distinct_rows(S):
         raise ValueError("rows must be pairwise distinct (apply distinct_rows first)")
-    if vc_dimension(S) > 1:
+    if (vc_dimension(S) if vc is None else vc) > 1:
         raise ValueError("matrix has VC dimension at least 2")
 
     rows: list[tuple[int, tuple[int, ...]]] = [
@@ -332,7 +333,7 @@ def low_stabbing_order(
     constructor (method "vc1") when vc <= 1, else the Welzl greedy (method
     "welzl", with its state)."""
     if vc <= 1:
-        return vc1_path(S), "vc1", None
+        return vc1_path(S, vc), "vc1", None
     ordering, state = welzl_path(S, rng, d=vc)
     return ordering, "welzl", state
 

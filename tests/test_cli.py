@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from signrank import parse_sign_matrix, count_sign_changes
+from signrank import parse_sign_matrix, count_sign_changes, spectral
 from signrank.cli import main
 
 
@@ -77,19 +77,25 @@ def test_analyze_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_analyze_nonconvergence_exit_code(tmp_path, capsys):
+def test_analyze_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
+    """A witness norm the verifier cannot certify: exit 4, the bound is
+    listed under skipped and left out of lower, and the report is written."""
+    monkeypatch.setattr(spectral, "_certified_norm", lambda W: None)
     matrix = tmp_path / "m.txt"
     matrix.write_text("++-\n+-+\n--+\n")
     out = tmp_path / "report.json"
-    code = main(["analyze", str(matrix), "--budget", "2", "--out", str(out)])
+    code = main(["analyze", str(matrix), "--out", str(out)])
     assert code == 4
     # the report is still written
-    assert json.loads(out.read_text())["bracket"]
+    doc = json.loads(out.read_text())
+    assert doc["bracket"]
+    assert "forster" in [s["method"] for s in doc["skipped"]]
+    assert "forster" not in [b["method"] for b in doc["lower"]]
 
 
 def test_analyze_converged_power_runs_exit_zero(tmp_path, capsys):
-    """interval_class(3): every power run converges within the default cap,
-    though their iterations summed exceed it."""
+    """interval_class(3) exits 0 from analyze and bounds (it exited 4 when
+    exit 4 compared power iterations summed over several runs with a cap)."""
     matrix = tmp_path / "intervals.txt"
     assert main(["gen", "intervals", "--p", "3", "--out", str(matrix)]) == 0
     code, out, _ = run_cli(capsys, "analyze", str(matrix))
@@ -97,7 +103,6 @@ def test_analyze_converged_power_runs_exit_zero(tmp_path, capsys):
     assert json.loads(out)["bracket"]
     code, out, _ = run_cli(capsys, "bounds", str(matrix))
     assert code == 0
-    assert json.loads(out)["spectrum"]["iterations"] >= 400
 
 
 def test_enumerate_exact(capsys):
@@ -165,6 +170,29 @@ def test_bounds_command(tmp_path, capsys):
     # sigma2 of the boolean version is carried by the trace floor; the
     # spectrum block reports the signed matrix itself
     assert doc["sigma2_trace_floor"] == pytest.approx(3**0.5, abs=1e-6)
+
+
+def test_bounds_uncertified_exit_code(tmp_path, capsys, monkeypatch):
+    matrix = tmp_path / "p3.txt"
+    assert main(["gen", "projective", "--p", "3", "--out", str(matrix)]) == 0
+    code, out, _ = run_cli(capsys, "bounds", str(matrix))
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc["spectrum"]) == {"sigma1", "sigma2"}
+    assert "skipped" not in doc
+    monkeypatch.setattr(spectral, "_certified_norm", lambda W: None)
+    code, out, _ = run_cli(capsys, "bounds", str(matrix))
+    assert code == 4
+    doc = json.loads(out)
+    methods = [s["method"] for s in doc["skipped"]]
+    assert methods == ["forster_identity", "spectral_lower_bound"]
+    assert not set(methods) & set(doc)
+    assert doc["regular_upper_bound"] == 9
+
+
+def test_tol_flag_removed(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["--tol", "1e-9", "enumerate", "--n", "2", "--d", "1"])
 
 
 def test_approx_command(tmp_path, capsys):

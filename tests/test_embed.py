@@ -128,7 +128,7 @@ def test_bracket_projective():
     assert lo <= hi
     values = dict((m, v) for m, v in report.lower_bounds)
     assert values["spectral"] == pytest.approx(4 / math.sqrt(3), abs=1e-4)
-    assert ("regular_degree", 9, None) in report.upper_bounds
+    assert ("regular_degree", 9) in report.upper_bounds
 
 
 def test_bracket_json_schema():
@@ -189,3 +189,23 @@ def test_approx_respects_vc1_cap():
     for _ in range(20):
         S = random_vc1_matrix(rng)
         assert approx_sign_rank(S) <= 3
+
+
+def test_bracket_computes_vc_once(monkeypatch):
+    """The VC-1 path and the planar embedding reuse the bracket's VC
+    dimension instead of recomputing it."""
+    from signrank import embed, stabbing, vc
+
+    calls = []
+    original = vc.vc_dimension
+
+    def counting(S):
+        calls.append(S.shape)
+        return original(S)
+
+    for module in (embed, stabbing, vc):
+        monkeypatch.setattr(module, "vc_dimension", counting)
+    report = signrank_bracket(signed_identity(32), np.random.default_rng(0))
+    assert report.vc == 1
+    assert ("planar_embedding", 3) in report.upper_bounds
+    assert len(calls) == 1

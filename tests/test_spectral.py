@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from signrank import (
     BooleanMatrix,
+    CertificationError,
     SignMatrix,
+    signrank_bracket,
+    spectral,
     WitnessMatrix,
     disjointness,
     forster_bound,
@@ -19,9 +23,12 @@ from signrank import (
     spectral_signrank_lower,
     star_norm_floor,
     to_boolean,
+    to_signed,
     top_singular_values,
+    witness_bounds,
     witness_feasible,
 )
+from testutil import random_sign_matrix
 
 
 def random_regular_boolean(rng, n, degree):
@@ -39,7 +46,7 @@ def test_power_iteration_against_lapack():
     for _ in range(30):
         shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         M = rng.standard_normal(shape)
-        summary = top_singular_values(M, tol=1e-12)
+        summary = top_singular_values(M)
         ref = np.linalg.svd(M, compute_uv=False)
         assert summary.sigma1 == pytest.approx(ref[0], rel=1e-6, abs=1e-8)
         sigma2_ref = ref[1] if len(ref) > 1 else 0.0
@@ -197,7 +204,7 @@ def test_sigma2_trace_floor_random_regular():
         degree = int(rng.integers(1, n))
         B = random_regular_boolean(rng, n, degree)
         floor = sigma2_trace_floor(B)
-        sigma2 = top_singular_values(B.entries.astype(float), tol=1e-12).sigma2
+        sigma2 = top_singular_values(B.entries.astype(float)).sigma2
         assert sigma2 >= floor - 1e-6
 
 
@@ -222,3 +229,131 @@ def test_certificates_sound_on_known_sign_ranks():
             assert regular_upper_bound(S) >= rank
         except ValueError:
             pass
+
+
+def exact_psd(A: list[list[Fraction]]) -> bool:
+    """Exact symmetric LDL^T elimination: A is positive semidefinite iff no
+    pivot is negative and every zero pivot has a zero row beyond it."""
+    A = [row[:] for row in A]
+    n = len(A)
+    for k in range(n):
+        pivot = A[k][k]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            if any(A[k][j] != 0 for j in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            factor = A[i][k] / pivot
+            for j in range(k + 1, n):
+                A[i][j] -= factor * A[k][j]
+    return True
+
+
+def certifies(t: float, W: np.ndarray) -> bool:
+    """Exactly: is t^2 I - W^T W positive semidefinite, i.e. ||W|| <= t?"""
+    F = [[Fraction(float(x)) for x in row] for row in W]
+    n = len(F[0])
+    t2 = Fraction(t) ** 2
+    return exact_psd(
+        [
+            [(t2 if i == j else 0) - sum(r[i] * r[j] for r in F) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def test_exact_psd_reference():
+    assert exact_psd([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]])
+    assert exact_psd([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    assert not exact_psd([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
+    assert not exact_psd([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(5)]])
+    assert certifies(2.0, np.eye(2) * 2.0)
+    assert not certifies(math.nextafter(2.0, 0.0), np.eye(2) * 2.0)
+
+
+def certified_witnesses():
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        n = int(rng.integers(1, 13))
+        yield identity_witness(random_sign_matrix(rng, n, n))
+    for _ in range(8):
+        n = int(rng.integers(2, 13))
+        S = to_signed(random_regular_boolean(rng, n, int(rng.integers(1, n // 2 + 1))))
+        yield identity_witness(S)
+        yield regular_witness(S)
+    for p in (2, 3):
+        P = projective_incidence(p, 2)
+        yield identity_witness(P)
+        yield regular_witness(P)
+
+
+def test_certified_norms_are_upper_bounds():
+    for W in certified_witnesses():
+        assert certifies(W.spectral_norm, W.matrix), W.provenance
+        sigma1 = np.linalg.svd(W.matrix, compute_uv=False)[0]
+        assert sigma1 <= W.spectral_norm <= sigma1 * (1 + 1e-12)
+
+
+def test_low_candidates_never_certified(monkeypatch):
+    """However far the LAPACK estimate errs low, a returned t is an upper
+    bound: the verifier refuses t < sigma1 rather than passing it on."""
+    rng = np.random.default_rng(12)
+    matrices = [random_sign_matrix(rng, n, n).entries.astype(float) for n in (3, 7, 12)]
+    matrices.append(regular_witness(projective_incidence(3, 2)).matrix)
+    svd = np.linalg.svd
+    for factor in (0.5, 1 - 1e-6, 1 - 1e-12, 1 - 1e-14):
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda A, compute_uv=True: factor * svd(A, compute_uv=compute_uv)
+        )
+        for W in matrices:
+            t = spectral._certified_norm(W)
+            assert t is None or certifies(t, W)
+            if factor <= 1 - 1e-6:
+                assert t is None
+
+
+def test_certified_norm_rank_deficient_and_rectangular():
+    for W in (np.ones((1, 1)), np.ones((5, 5)), np.ones((3, 7)), np.zeros((2, 2)) + 1e-3):
+        t = spectral._certified_norm(W)
+        assert t is not None and certifies(t, W)
+    assert spectral._certified_norm(np.array([[np.inf, 1.0]])) is None
+
+
+def test_forster_bound_below_exact_on_random_100():
+    """N / ||W|| must not exceed N / sigma1; the power iteration's low norm
+    estimate put this bound 2.9e-9 above it."""
+    rng = np.random.default_rng(1)
+    S = SignMatrix(np.where(rng.random((100, 100)) < 0.5, 1, -1))
+    sigma1 = np.linalg.svd(S.entries.astype(float), compute_uv=False)[0]
+    assert forster_bound(S, identity_witness(S)) <= 100 / sigma1 * (1 + 1e-12)
+
+
+def test_uncertified_bounds_are_skipped(monkeypatch):
+    monkeypatch.setattr(spectral, "_certified_norm", lambda W: None)
+    P = projective_incidence(3, 2)
+    with pytest.raises(CertificationError):
+        identity_witness(P)
+    with pytest.raises(CertificationError):
+        forster_bound(P, WitnessMatrix(P.entries.astype(float), "custom", 0.0))
+    bounds, skipped = witness_bounds(P)
+    assert bounds == []
+    assert [m for m, _ in skipped] == ["forster", "spectral"]
+    report = signrank_bracket(P, np.random.default_rng(0))
+    assert [m for m, _ in report.lower_bounds] == ["dual_sign_rank"]
+    assert [s["method"] for s in report.to_json_dict()["skipped"]] == ["forster", "spectral"]
+    # an uncertified bound must not be mistaken for an input error
+    assert not issubclass(CertificationError, ValueError)
+
+
+def test_witness_bounds_match_direct_calls():
+    P = projective_incidence(3, 2)
+    bounds, skipped = witness_bounds(P)
+    assert skipped == []
+    assert bounds == [
+        ("forster", forster_bound(P, identity_witness(P))),
+        ("spectral", spectral_signrank_lower(P)),
+    ]
+    bounds, _ = witness_bounds(disjointness(3))  # not regular
+    assert [m for m, _ in bounds] == ["forster"]
