@@ -254,7 +254,9 @@ def verify_realization(
     witness: PlanarRealization | FactorizationWitness, S: SignMatrix
 ) -> bool:
     """Entrywise soundness check: every sign matches with a strictly positive
-    margin (zero margins are rejected)."""
+    margin (zero margins are rejected). A factorization's margins must also
+    exceed the rounding error of computing U V^T, so an accepted witness has
+    the right signs in exact arithmetic."""
     if isinstance(witness, PlanarRealization):
         if witness.points.shape != (S.n_rows, 2) or witness.normals.shape != (
             S.n_cols,
@@ -266,10 +268,33 @@ def verify_realization(
             return False
         return float((S.entries * witness.values()).min()) > 0.0
     if isinstance(witness, FactorizationWitness):
-        if witness.left.shape[0] != S.n_rows or witness.right.shape[0] != S.n_cols:
+        U, V = witness.left, witness.right
+        if U.shape[0] != S.n_rows or V.shape != (S.n_cols, U.shape[1]):
             raise ValueError("factor dimensions do not match the matrix")
-        return float((S.entries * witness.values()).min()) > 0.0
+        # A length-k dot product computed in any order (FMA included) is off
+        # by at most gamma_k |u|.|v|, gamma_k = ku/(1-ku), u = 2^-53 (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 3.1), plus half the
+        # least subnormal 2^-1074 per product when products underflow. Doubling gamma_k
+        # and the underflow term covers the same errors in forming
+        # |U||V|^T and the rounding of the bound itself, so a float margin
+        # above the bound proves the exact sign; a non-finite factor makes
+        # some comparison false.
+        k = U.shape[1]
+        gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+        bound = 2.0 * gamma * (np.abs(U) @ np.abs(V).T) + k * 2.0**-1074
+        return bool((S.entries * witness.values() > bound).all())
     raise TypeError(f"cannot verify {type(witness).__name__}")
+
+
+def _lstsq_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Least-squares solutions X of A X ~ B for a stack of matrices, by the
+    normal equations; the pseudoinverse serves the whole stack when LAPACK
+    finds a Gram matrix singular."""
+    At = A.transpose(0, 2, 1)
+    try:
+        return np.linalg.solve(At @ A, At @ B)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(A) @ B
 
 
 def hinge_search_upper(
@@ -284,40 +309,52 @@ def hinge_search_upper(
 
     Each side is refit by exact least squares against targets that pull
     hinge-active entries to +-1 and leave inactive entries at their current
-    prediction. Returns a verified witness iff the loss reaches zero; a None
-    result is absence of evidence, never a lower bound.
+    prediction. All restarts advance in lockstep as one stack, each starting
+    from its own draw of `rng` (restart r from the r-th (U, V) pair), and a
+    restart retires after 50 alternations without improving its loss, or when
+    its loss is not finite. The search stops at the first alternation where
+    some restart has every margin S * (U V^T) positive and returns the lowest
+    such restart once `verify_realization` proves its signs (one that fails
+    the proof retires). A None result is absence of evidence, never a lower
+    bound.
     """
     if k < 1:
         raise ValueError("rank must be at least 1")
     E = S.entries.astype(float)
     n_rows, n_cols = E.shape
-    for _ in range(restarts):
-        U = rng.standard_normal((n_rows, k))
-        V = rng.standard_normal((n_cols, k))
-        best_loss = math.inf
-        stall = 0
-        for _ in range(max_alternations):
-            P = U @ V.T
-            margins = E * P
-            loss = float(np.clip(1.0 - margins, 0.0, None).sum())
-            if loss <= 1e-12:
-                witness = FactorizationWitness(k, U, V, float(margins.min()))
-                if verify_realization(witness, S):
-                    return witness
-                break
-            if loss >= best_loss - 1e-12:
-                stall += 1
-                if stall >= 50:
-                    break
-            else:
-                best_loss = loss
-                stall = 0
-            T = np.where(margins < 1.0, E, P)
-            U = np.linalg.lstsq(V, T.T, rcond=None)[0].T
-            P = U @ V.T
-            margins = E * P
-            T = np.where(margins < 1.0, E, P)
-            V = np.linalg.lstsq(U, T, rcond=None)[0].T
+    start = rng.standard_normal((restarts, (n_rows + n_cols) * k))
+    U = start[:, : n_rows * k].reshape(restarts, n_rows, k)
+    V = start[:, n_rows * k :].reshape(restarts, n_cols, k)
+    best_loss = np.full(restarts, math.inf)
+    stall = np.zeros(restarts, dtype=int)
+    for _ in range(max_alternations):
+        P = U @ V.transpose(0, 2, 1)
+        margins = E * P
+        low = margins.min(axis=(1, 2))
+        retire = np.zeros(len(U), dtype=bool)
+        consistent = np.flatnonzero(low > 0.0)
+        if consistent.size:
+            r = consistent[0]
+            witness = FactorizationWitness(k, U[r].copy(), V[r].copy(), float(low[r]))
+            if verify_realization(witness, S):
+                return witness
+            retire[r] = True
+        loss = np.maximum(1.0 - margins, 0.0).sum(axis=(1, 2))
+        improved = loss < best_loss - 1e-12
+        best_loss = np.where(improved, loss, best_loss)
+        stall = np.where(improved, 0, stall + 1)
+        retire |= (stall >= 50) | ~np.isfinite(loss)
+        if retire.any():
+            keep = ~retire
+            U, V, P, margins = U[keep], V[keep], P[keep], margins[keep]
+            best_loss, stall = best_loss[keep], stall[keep]
+        if not len(U):
+            return None
+        T = np.where(margins < 1.0, E, P)
+        U = _lstsq_stack(V, T.transpose(0, 2, 1)).transpose(0, 2, 1)
+        P = U @ V.transpose(0, 2, 1)
+        T = np.where(E * P < 1.0, E, P)
+        V = _lstsq_stack(U, T).transpose(0, 2, 1)
     return None
 
 

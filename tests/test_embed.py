@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from signrank import (
     disjointness,
     embed_vc1,
     approx_sign_rank,
+    grid_hyperplane,
     hamming_ball,
     hinge_search_upper,
     projective_incidence,
@@ -67,6 +69,79 @@ def test_verify_rejects_zero_margin_factorization():
     assert not verify_realization(witness, S)
 
 
+def exact_products(left, right):
+    """U V^T in exact rational arithmetic."""
+    return [
+        [sum(Fraction(a) * Fraction(b) for a, b in zip(u, v)) for v in right.tolist()]
+        for u in left.tolist()
+    ]
+
+
+def test_verify_factorization_signs_are_exact():
+    """Whenever the verifier accepts a factorization, the exact products have
+    the claimed signs, also when the float products nearly cancel or
+    underflow."""
+    rng = np.random.default_rng(11)
+    accepted = rejected = 0
+    for trial in range(400):
+        k = int(rng.integers(1, 5))
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        left = rng.standard_normal((n, k))
+        right = rng.standard_normal((m, k))
+        if k > 1 and trial % 2:
+            # make row 0 of U nearly orthogonal to every row of V
+            right[:, -1] = -(right[:, :-1] @ left[0, :-1]) / left[0, -1]
+            right[:, -1] += rng.choice([0.0, 1e-17, 1e-15, 1e-13], size=m)
+        scale = [1.0, 2.0**-537, 2.0**-520, 2.0**300][trial % 4]
+        left = left * scale
+        values = left @ right.T
+        entries = np.where(values >= 0, 1, -1)
+        if trial % 7 == 0:
+            entries[0, 0] = -entries[0, 0]
+        S = SignMatrix(entries)
+        witness = FactorizationWitness(k, left, right, float((S.entries * values).min()))
+        if verify_realization(witness, S):
+            accepted += 1
+            exact = exact_products(left, right)
+            assert all(
+                (exact[i][j] > 0) == (S.entries[i, j] > 0) and exact[i][j] != 0
+                for i in range(n)
+                for j in range(m)
+            )
+        else:
+            rejected += 1
+    assert accepted > 100 and rejected > 100
+
+
+def test_verify_rejects_margin_below_rounding_bound():
+    """Exact margin 2^-52 against a rounding bound of about 2^-51: the float
+    margin is positive and exact, but too small to prove the sign."""
+    S = SignMatrix([[1]])
+    left = np.array([[1.0, 1.0]])
+    right = np.array([[1.0 + 2.0**-52, -1.0]])
+    witness = FactorizationWitness(2, left, right, 2.0**-52)
+    assert float(witness.values()[0, 0]) == 2.0**-52
+    assert not verify_realization(witness, S)
+    healthy = np.array([[1.0 + 2.0**-40, -1.0]])
+    assert verify_realization(FactorizationWitness(2, left, healthy, 2.0**-40), S)
+
+
+def test_verify_rejects_non_finite_factorization():
+    S = SignMatrix([[1, 1]])
+    left = np.array([[np.inf]])
+    assert not verify_realization(FactorizationWitness(1, left, np.ones((2, 1)), 1.0), S)
+    left = np.array([[1e200]])
+    huge = np.full((2, 1), 1e200)  # products overflow to +inf
+    with np.errstate(over="ignore"):
+        assert not verify_realization(FactorizationWitness(1, left, huge, 1.0), S)
+
+
+def test_verify_rejects_mismatched_inner_dimension():
+    S = SignMatrix([[1]])
+    with pytest.raises(ValueError):
+        verify_realization(FactorizationWitness(2, np.ones((1, 2)), np.ones((1, 3)), 1.0), S)
+
+
 def test_verify_dimension_mismatch():
     S = signed_identity(4)
     R = embed_vc1(S)
@@ -93,6 +168,119 @@ def test_hinge_search_signed_identity():
         S, 2, np.random.default_rng(0), restarts=8, max_alternations=600
     )
     assert w2 is None
+
+
+def test_hinge_search_keeps_sign_consistent_witnesses():
+    """A factorization with every margin positive certifies its rank even
+    when its hinge loss is not zero."""
+    G = grid_hyperplane(6, 3)
+    w = hinge_search_upper(G, 4, np.random.default_rng(0), restarts=6, max_alternations=400)
+    assert w is not None and w.rank == 4
+    assert verify_realization(w, G)
+    assert signrank_bracket(grid_hyperplane(5, 2), np.random.default_rng(0)).bracket == (3, 3)
+    assert signrank_bracket(disjointness(5), np.random.default_rng(0)).bracket == (6, 6)
+
+
+def test_hinge_search_draws_restarts_in_order():
+    """Restart r starts from the r-th (U, V) pair of the stream, and the
+    search draws exactly one pair per restart."""
+    S = signed_identity(4)
+    rng = np.random.default_rng(5)
+    hinge_search_upper(S, 2, rng, restarts=3, max_alternations=2)
+    reference = np.random.default_rng(5)
+    for _ in range(3):
+        reference.standard_normal((4, 2))
+        reference.standard_normal((4, 2))
+    assert rng.standard_normal() == reference.standard_normal()
+
+
+def count_solves(monkeypatch, fail=False):
+    calls = []
+    original = np.linalg.solve
+
+    def solve(a, b):
+        calls.append(a.shape)
+        if fail:
+            raise np.linalg.LinAlgError("singular matrix")
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return calls
+
+
+def test_hinge_search_pinv_fallback(monkeypatch):
+    calls = count_solves(monkeypatch, fail=True)
+    S = signed_identity(4)
+    w = hinge_search_upper(S, 3, np.random.default_rng(0))
+    assert calls and w is not None
+    assert verify_realization(w, S)
+
+
+@pytest.mark.parametrize("alternations", [0, 1, 2, 7])
+def test_hinge_search_budget_counts_solves(monkeypatch, alternations):
+    """The rank-2 search on signed_identity(4) never succeeds, so it spends
+    its whole budget: two stacked solves per alternation, none for 0."""
+    calls = count_solves(monkeypatch)
+    w = hinge_search_upper(
+        signed_identity(4), 2, np.random.default_rng(0), restarts=5,
+        max_alternations=alternations,
+    )
+    assert w is None
+    assert len(calls) == 2 * alternations
+    assert all(shape[0] == 5 and shape[1:] == (2, 2) for shape in calls)
+
+
+class FixedStart:
+    """A generator stand-in that hands the search fixed starting factors."""
+
+    def __init__(self, start):
+        self.start = np.array(start, dtype=float)
+
+    def standard_normal(self, shape):
+        assert self.start.shape == shape
+        return self.start.copy()
+
+
+def test_hinge_search_retires_non_finite_restarts(monkeypatch):
+    calls = count_solves(monkeypatch)
+    S = signed_identity(4)
+    start = np.random.default_rng(0).standard_normal((2, 24))
+    start[0] = np.nan
+    assert hinge_search_upper(S, 3, FixedStart(start[:1]), restarts=1) is None
+    assert calls == []  # retired at its first alternation, before any solve
+    w = hinge_search_upper(S, 3, FixedStart(start), restarts=2)
+    assert w is not None and np.isfinite(w.left).all() and np.isfinite(w.right).all()
+    assert verify_realization(w, S)
+    assert all(shape[0] == 1 for shape in calls)  # only restart 1 was solved
+
+
+def test_hinge_search_retires_stalled_restarts(monkeypatch):
+    """Zero factors are a fixed point (their Gram matrices are singular, so
+    the pseudoinverse serves): the loss never improves after the first
+    alternation, and the restart retires after 50 more."""
+    calls = count_solves(monkeypatch)
+    S = signed_identity(3)
+    assert hinge_search_upper(S, 2, FixedStart(np.zeros((1, 12))), restarts=1) is None
+    assert len(calls) == 2 * 50
+
+
+def test_hinge_search_returns_lowest_consistent_restart(monkeypatch):
+    calls = count_solves(monkeypatch)
+    S = SignMatrix.constant(3, 3, 1)
+    start = [[r + 1.0] * 3 + [1.0] * 3 for r in range(3)]
+    w = hinge_search_upper(S, 1, FixedStart(start), restarts=3)
+    assert np.array_equal(w.left, np.ones((3, 1))) and calls == []
+
+
+def test_hinge_search_retires_restart_that_fails_the_proof(monkeypatch):
+    """Restart 0 starts with every float margin positive but below the
+    rounding bound: it is not returned, and it is not refit."""
+    calls = count_solves(monkeypatch)
+    S = SignMatrix([[1]])
+    start = [[1.0, 1.0, 1.0 + 2.0**-52, -1.0], [1.0, -1.0, 1.0, 2.0]]
+    w = hinge_search_upper(S, 2, FixedStart(start), restarts=2)
+    assert w is not None and verify_realization(w, S)
+    assert calls[0][0] == 1
 
 
 def test_bracket_signed_identity():

@@ -18,6 +18,7 @@ from signrank import (
     doubling_update,
     grid_hyperplane,
     haussler_packing_limit,
+    heavy_dominant_free_random,
     line_subset_random,
     low_stabbing_order,
     projective_incidence,
@@ -327,6 +328,32 @@ def test_welzl_edges_do_not_depend_on_blas_threads():
         runs.append(json.loads(done.stdout))
     assert runs[0] == runs[1]
     assert all(len(edges) > 0 for edges in runs[0])
+
+
+def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The hinge search decides the upper end of both brackets; one and two
+    BLAS threads give byte-identical analyze reports."""
+    paths = []
+    for name, S in (
+        ("grid-5x2", grid_hyperplane(5, 2)),
+        ("heavy-free", heavy_dominant_free_random(16, 3, np.random.default_rng(0))),
+    ):
+        paths.append(tmp_path / f"{name}.txt")
+        paths[-1].write_text(S.to_text())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabbing.__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs.append([
+            subprocess.run(
+                [sys.executable, "-m", "signrank", "analyze", str(path)], env=env,
+                capture_output=True, timeout=120, check=True,
+            ).stdout
+            for path in paths
+        ])
+    assert runs[0] == runs[1]
+    assert all(b'"factorization"' in report for report in runs[0])
 
 
 def test_low_stabbing_order_dispatch():
