@@ -1,28 +1,26 @@
 """Constructive sign-rank upper bounds and certified brackets.
 
-A matrix of VC dimension one embeds in the plane: rows become points on the
-unit circle and columns become halfplanes, which pins its sign rank at three
-or less. A numerical factorization search provides rank-k witnesses when it
-happens to find them, and `signrank_bracket` assembles every certificate into
-one [lower, upper] interval.
+A matrix of VC dimension one embeds in the plane: along the `vc1_path` row
+order every column's +1 rows form a cyclic arc, so rows placed at equal
+angles on the unit circle and one chord per column realize it, which pins
+its sign rank at three or less. A numerical factorization search provides
+rank-k witnesses when it happens to find them. Every witness is proven by
+one dot-product rounding bound, a planar realization as a rank-3
+factorization, and `signrank_bracket` assembles every certificate into one
+[lower, upper] interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import SizeLimitError
-from .matrix import SignMatrix, distinct_rows, has_distinct_rows, regularity, to_boolean
+from .matrix import SignMatrix, distinct_rows, regularity, to_boolean
 from .spectral import integer_certificate, witness_bounds
-from .stabbing import low_stabbing_order
+from .stabbing import RowOrdering, low_stabbing_order, vc1_path
 from .vc import dual_sign_rank, vc_dimension
-
-# Verification threshold for exported planar margins.
-_PLANAR_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,107 +86,32 @@ class BoundReport:
         return doc
 
 
-def _cyc_mid(a: Fraction, b: Fraction) -> Fraction:
-    """Midpoint of the arc from a counterclockwise to b (angles in turns)."""
-    gap = (b - a) % 1
-    return (a + gap / 2) % 1
+def _planar_from_order(S: SignMatrix, ordering: RowOrdering) -> PlanarRealization:
+    """Points at equal angles along a row order with at most two sign changes
+    per column, and one chord per column.
 
-
-def _in_arc(theta: Fraction, a: Fraction, b: Fraction) -> bool:
-    """Is theta strictly inside the arc from a counterclockwise to b?"""
-    return (theta - a) % 1 < (b - a) % 1
-
-
-def _embed_recursive(
-    rows: list[tuple[int, tuple[int, ...]]], cols: list[int]
-) -> tuple[dict[int, Fraction], dict[int, tuple]]:
-    """Returns (angle per row id, halfplane descriptor per column id).
-
-    Descriptors are ("arc", a, b) for the halfplane positive exactly on the open
-    arc a -> b (counterclockwise), or ("all", flag) for halfplanes containing
-    every point or none.
+    Row perm[k] sits at angle 2 pi k / n, so every non-constant column's +1
+    rows fill a cyclic arc of L consecutive points. Its halfplane has the
+    arc's midpoint direction as normal and offset -cos(L pi / n): the arc's
+    points lie within (L - 1) pi / n of the midpoint and every other point at
+    least (L + 1) pi / n away, so each margin is at least 1 - cos(pi / n). A
+    constant column misses the circle: normal (1, 0) and offset +-2.
     """
-    if len(rows) == 1:
-        rid, values = rows[0]
-        return {rid: Fraction(0)}, {
-            c: ("all", values[j] == 1) for j, c in enumerate(cols)
-        }
-
-    # Constant columns become halfplanes missing the circle entirely.
-    first = rows[0][1]
-    constant = [j for j in range(len(cols)) if all(t[j] == first[j] for _, t in rows)]
-    if constant:
-        const_set = set(constant)
-        sub_rows = [
-            (i, tuple(v for j, v in enumerate(t) if j not in const_set))
-            for i, t in rows
-        ]
-        sub_cols = [c for j, c in enumerate(cols) if j not in const_set]
-        angles, planes = _embed_recursive(sub_rows, sub_cols)
-        for j in constant:
-            planes[cols[j]] = ("all", first[j] == 1)
-        return angles, planes
-
-    if len(cols) == 1:
-        (id_a, t_a), (id_b, _) = rows  # two distinct rows over one column
-        plus_id, minus_id = (id_a, id_b) if t_a[0] == 1 else (id_b, id_a)
-        angles = {plus_id: Fraction(0), minus_id: Fraction(1, 2)}
-        planes = {cols[0]: ("arc", Fraction(3, 4), Fraction(1, 4))}
-        return angles, planes
-
-    # Pivot: the column with the fewest minority entries (then lowest index)
-    # has a unique minority row.
-    r_count = len(rows)
-    best_m, j0 = min(
-        (min(ones, r_count - ones), j)
-        for j, ones in (
-            (j, sum(1 for _, t in rows if t[j] == 1)) for j in range(len(cols))
-        )
-    )
-    if best_m != 1:
-        raise AssertionError("pivot needs a unique minority entry")
-    ones0 = sum(1 for _, t in rows if t[j0] == 1)
-    minority = 1 if ones0 <= r_count - ones0 else -1
-    min_pos = next(k for k, (_, t) in enumerate(rows) if t[j0] == minority)
-    min_id, min_tuple = rows[min_pos]
-    stripped = min_tuple[:j0] + min_tuple[j0 + 1 :]
-    twin_pos = next(
-        (
-            k
-            for k, (_, t) in enumerate(rows)
-            if k != min_pos and t[:j0] + t[j0 + 1 :] == stripped
-        ),
-        None,
-    )
-    twin_id = rows[twin_pos][0] if twin_pos is not None else None
-    reduced = [
-        (i, t[:j0] + t[j0 + 1 :])
-        for k, (i, t) in enumerate(rows)
-        if k != twin_pos
-    ]
-    angles, planes = _embed_recursive(reduced, cols[:j0] + cols[j0 + 1 :])
-
-    x = angles[min_id]
-    occupied = set(angles.values())
-    for halfplane in planes.values():
-        if halfplane[0] == "arc":
-            occupied.add(halfplane[1])
-            occupied.add(halfplane[2])
-    occupied.discard(x)
-    if occupied:
-        succ = min(occupied, key=lambda q: (q - x) % 1)
-        pred = min(occupied, key=lambda q: (x - q) % 1)
-    else:
-        succ = pred = (x + Fraction(1, 2)) % 1
-    m_ccw = _cyc_mid(x, succ)  # chord endpoint on the successor side
-    m_cw = _cyc_mid(pred, x)  # chord endpoint on the predecessor side
-    if minority == 1:
-        planes[cols[j0]] = ("arc", m_cw, m_ccw)
-    else:
-        planes[cols[j0]] = ("arc", m_ccw, m_cw)
-    if twin_id is not None:
-        angles[twin_id] = _cyc_mid(m_ccw, succ)
-    return angles, planes
+    n = S.n_rows
+    perm = list(ordering.permutation)
+    plus = S.entries[perm] == 1
+    angles = 2.0 * np.pi * np.arange(n) / n
+    points = np.zeros((n, 2))
+    points[perm] = np.column_stack((np.cos(angles), np.sin(angles)))
+    length = plus.sum(axis=0)
+    start = (plus & ~np.roll(plus, 1, axis=0)).argmax(axis=0)
+    mid = 2.0 * np.pi * (start + (length - 1) / 2.0) / n
+    normals = np.column_stack((np.cos(mid), np.sin(mid)))
+    offsets = -np.cos(np.pi * length / n)
+    constant = (length == 0) | (length == n)
+    normals[constant] = (1.0, 0.0)
+    offsets[constant] = np.where(length[constant] == n, 2.0, -2.0)
+    return PlanarRealization(points, normals, offsets)
 
 
 def embed_vc1(S: SignMatrix, vc: int | None = None) -> PlanarRealization:
@@ -196,67 +119,23 @@ def embed_vc1(S: SignMatrix, vc: int | None = None) -> PlanarRealization:
     (`vc`, when given, is taken as the VC dimension instead of recomputing
     it).
 
-    Rows map to unit-circle points and columns to halfplanes, recursing on
-    columns: a column with a unique minority entry is realized by a chord
-    cutting its minority point off from the rest, and a row that collapses
-    onto another when that column is dropped is re-inserted just across the
-    chord inside the same cell. Angles are dyadic fractions of the turn, so
-    the construction itself is exact; only the final float export rounds.
+    Rows map to unit-circle points at equal angles along the `vc1_path` row
+    order, in which every column has at most two sign changes, and columns
+    map to the chords that cut each column's +1 arc off from the rest.
+    `verify_realization` proves the signs with the rounding bound of a rank-3
+    factorization.
     """
-    if not has_distinct_rows(S):
-        raise ValueError("rows must be pairwise distinct (apply distinct_rows first)")
-    if (vc_dimension(S) if vc is None else vc) > 1:
-        raise ValueError("matrix has VC dimension at least 2")
-    rows = [(i, t) for i, t in enumerate(S.row_tuples())]
-    angles, planes = _embed_recursive(rows, list(range(S.n_cols)))
-
-    # The recursion keeps splitting gaps around the same points, so exact
-    # angles can cluster until float margins underflow. Every sign is decided
-    # purely by the cyclic order of points and chord endpoints, so re-spacing
-    # the occupied angles uniformly preserves all of them and keeps the
-    # exported margins healthy.
-    occupied = set(angles.values())
-    for halfplane in planes.values():
-        if halfplane[0] == "arc":
-            occupied.add(halfplane[1])
-            occupied.add(halfplane[2])
-    ordered = sorted(occupied)
-    spread = {theta: Fraction(k, len(ordered)) for k, theta in enumerate(ordered)}
-
-    points = np.zeros((S.n_rows, 2))
-    for rid, theta in angles.items():
-        ang = 2.0 * math.pi * float(spread[theta])
-        points[rid] = (math.cos(ang), math.sin(ang))
-    normals = np.zeros((S.n_cols, 2))
-    offsets = np.zeros(S.n_cols)
-    for c in range(S.n_cols):
-        halfplane = planes[c]
-        if halfplane[0] == "all":
-            normals[c] = (1.0, 0.0)
-            offsets[c] = 2.0 if halfplane[1] else -2.0
-        else:
-            a, b = spread[halfplane[1]], spread[halfplane[2]]
-            length = (b - a) % 1
-            mid = 2.0 * math.pi * float(_cyc_mid(a, b))
-            normals[c] = (math.cos(mid), math.sin(mid))
-            offsets[c] = -math.cos(math.pi * float(length))
-    realization = PlanarRealization(points, normals, offsets)
-    margin = float((S.entries * realization.values()).min())
-    if margin < _PLANAR_MARGIN:
-        raise SizeLimitError(
-            f"planar margin {margin:.3e} underflowed the verification "
-            f"threshold {_PLANAR_MARGIN}"
-        )
-    return realization
+    return _planar_from_order(S, vc1_path(S, vc))
 
 
 def verify_realization(
     witness: PlanarRealization | FactorizationWitness, S: SignMatrix
 ) -> bool:
-    """Entrywise soundness check: every sign matches with a strictly positive
-    margin (zero margins are rejected). A factorization's margins must also
-    exceed the rounding error of computing U V^T, so an accepted witness has
-    the right signs in exact arithmetic."""
+    """Entrywise soundness check: every margin S * values must exceed the
+    rounding error of computing it, so an accepted witness has the right
+    signs in exact arithmetic (zero margins are rejected). A planar
+    realization must have unit-norm points, and its values p . n + o are
+    checked as the rank-3 factorization [points, 1] [normals, offsets]^T."""
     if isinstance(witness, PlanarRealization):
         if witness.points.shape != (S.n_rows, 2) or witness.normals.shape != (
             S.n_cols,
@@ -266,24 +145,26 @@ def verify_realization(
         norms = np.linalg.norm(witness.points, axis=1)
         if not (np.abs(norms - 1.0) <= 1e-9).all():
             return False
-        return float((S.entries * witness.values()).min()) > 0.0
-    if isinstance(witness, FactorizationWitness):
+        U = np.column_stack((witness.points, np.ones(S.n_rows)))
+        V = np.column_stack((witness.normals, witness.offsets))
+    elif isinstance(witness, FactorizationWitness):
         U, V = witness.left, witness.right
         if U.shape[0] != S.n_rows or V.shape != (S.n_cols, U.shape[1]):
             raise ValueError("factor dimensions do not match the matrix")
-        # A length-k dot product computed in any order (FMA included) is off
-        # by at most gamma_k |u|.|v|, gamma_k = ku/(1-ku), u = 2^-53 (Higham,
-        # Accuracy and Stability of Numerical Algorithms, 3.1), plus half the
-        # least subnormal 2^-1074 per product when products underflow. Doubling gamma_k
-        # and the underflow term covers the same errors in forming
-        # |U||V|^T and the rounding of the bound itself, so a float margin
-        # above the bound proves the exact sign; a non-finite factor makes
-        # some comparison false.
-        k = U.shape[1]
-        gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
-        bound = 2.0 * gamma * (np.abs(U) @ np.abs(V).T) + k * 2.0**-1074
-        return bool((S.entries * witness.values() > bound).all())
-    raise TypeError(f"cannot verify {type(witness).__name__}")
+    else:
+        raise TypeError(f"cannot verify {type(witness).__name__}")
+    # A length-k dot product computed in any order (FMA included) is off by
+    # at most gamma_k |u|.|v|, gamma_k = ku/(1-ku), u = 2^-53 (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 3.1), plus half the
+    # least subnormal 2^-1074 per product when products underflow. Doubling
+    # gamma_k and the underflow term covers the same errors in forming
+    # |U||V|^T and the rounding of the bound itself, so a float margin above
+    # the bound proves the exact sign; a non-finite factor makes some
+    # comparison false.
+    k = U.shape[1]
+    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    bound = 2.0 * gamma * (np.abs(U) @ np.abs(V).T) + k * 2.0**-1074
+    return bool((S.entries * (U @ V.T) > bound).all())
 
 
 def _lstsq_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -384,11 +265,11 @@ def signrank_bracket(
     Lower bounds: dual sign rank, plus witness bounds on square matrices
     (identity witness always; the regular witness when it applies). Upper
     bounds: one plus the sign changes of a low-stabbing path, three when the
-    VC dimension is at most one (verified planar embedding), 2*degree + 1 for
-    regular matrices, and any verified factorization found at the current
-    lower end. A failed factorization search never moves the lower end, and a
-    witness bound whose norm could not be certified is left out and listed in
-    `skipped`.
+    VC dimension is at most one (a planar embedding along that path's order,
+    once verified), 2*degree + 1 for regular matrices, and any verified
+    factorization found at the current lower end. A failed factorization
+    search never moves the lower end, and a witness bound whose norm could
+    not be certified is left out and listed in `skipped`.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -405,9 +286,8 @@ def signrank_bracket(
     welzl_constant = None
     ordering, method, _ = low_stabbing_order(Sd, rng, vc)
     upper.append((f"path_{method}", ordering.max_sign_changes + 1))
-    if vc <= 1:
-        realization = embed_vc1(Sd, vc)
-        if verify_realization(realization, Sd):
+    if method == "vc1":
+        if verify_realization(_planar_from_order(Sd, ordering), Sd):
             upper.append(("planar_embedding", 3))
     else:
         welzl_constant = ordering.max_sign_changes / Sd.n_rows ** (1.0 - 1.0 / vc)

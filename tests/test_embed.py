@@ -6,6 +6,7 @@ import pytest
 
 from signrank import (
     FactorizationWitness,
+    PlanarRealization,
     SignMatrix,
     disjointness,
     embed_vc1,
@@ -23,18 +24,22 @@ from testutil import random_distinct_matrix, random_vc1_matrix
 
 
 def test_embed_signed_identity():
-    S = signed_identity(4)
-    R = embed_vc1(S)
-    assert verify_realization(R, S)
-    norms = np.linalg.norm(R.points, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-9)
-    margin = float((S.entries * R.values()).min())
-    assert margin >= 1e-12
+    """Equal angles along the path give every column a margin of at least
+    1 - cos(pi / n), the gap between a point and its arc's chord."""
+    for n in (4, 64):
+        S = signed_identity(n)
+        R = embed_vc1(S)
+        assert verify_realization(R, S)
+        norms = np.linalg.norm(R.points, axis=1)
+        assert np.allclose(norms, 1.0, atol=1e-9)
+        margin = float((S.entries * R.values()).min())
+        assert margin >= (1.0 - math.cos(math.pi / n)) * (1.0 - 1e-9)
 
 
 def test_embed_two_rows_one_column():
-    S = SignMatrix([[1], [-1]])
-    assert verify_realization(embed_vc1(S), S)
+    # the one-row matrix has only constant columns
+    for S in (SignMatrix([[1], [-1]]), SignMatrix([[1, -1, 1]])):
+        assert verify_realization(embed_vc1(S), S)
 
 
 def test_embed_rejects_vc2_and_duplicates():
@@ -111,6 +116,34 @@ def test_verify_factorization_signs_are_exact():
         else:
             rejected += 1
     assert accepted > 100 and rejected > 100
+
+
+def test_verify_planar_signs_are_exact():
+    """Whenever the verifier accepts a planar realization, p . n + o has the
+    claimed sign in exact arithmetic, also when the offset is one ulp past
+    cancelling p . n."""
+    rng = np.random.default_rng(5)
+    accepted = rejected = 0
+    for trial in range(4000):
+        a, b = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        points = np.array([[math.cos(a), math.sin(a)]])
+        normals = np.array([[math.cos(b), math.sin(b)]])
+        offset = -float(points[0] @ normals[0])
+        if trial % 4:
+            offset = float(np.nextafter(offset, rng.choice([-np.inf, np.inf])))
+        else:
+            offset += rng.choice([-1.0, 1.0]) * 1e-6
+        R = PlanarRealization(points, normals, np.array([offset]))
+        S = SignMatrix([[1 if R.values()[0, 0] >= 0 else -1]])
+        if verify_realization(R, S):
+            accepted += 1
+            exact = sum(
+                Fraction(p) * Fraction(q) for p, q in zip(points[0], normals[0])
+            ) + Fraction(offset)
+            assert exact != 0 and (exact > 0) == (S.entries[0, 0] > 0)
+        else:
+            rejected += 1
+    assert accepted > 500 and rejected > 500
 
 
 def test_verify_rejects_margin_below_rounding_bound():
@@ -381,7 +414,8 @@ def test_approx_respects_vc1_cap():
 
 def test_bracket_computes_vc_once(monkeypatch):
     """The VC-1 path and the planar embedding reuse the bracket's VC
-    dimension instead of recomputing it."""
+    dimension instead of recomputing it, and the embedding reuses the
+    bracket's VC-1 path instead of peeling again."""
     from signrank import embed, stabbing, vc
 
     calls = []
@@ -391,9 +425,19 @@ def test_bracket_computes_vc_once(monkeypatch):
         calls.append(S.shape)
         return original(S)
 
+    paths = []
+    original_path = stabbing.vc1_path
+
+    def counting_path(S, vc=None):
+        paths.append(S.shape)
+        return original_path(S, vc)
+
     for module in (embed, stabbing, vc):
         monkeypatch.setattr(module, "vc_dimension", counting)
+    for module in (embed, stabbing):
+        monkeypatch.setattr(module, "vc1_path", counting_path)
     report = signrank_bracket(signed_identity(32), np.random.default_rng(0))
     assert report.vc == 1
     assert ("planar_embedding", 3) in report.upper_bounds
     assert len(calls) == 1
+    assert len(paths) == 1

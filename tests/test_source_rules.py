@@ -16,3 +16,51 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert list(PACKAGE.glob("*.py"))
     assert found == []
+
+
+def private_definitions(tree):
+    """(name, statement) for each private top-level function, class or
+    assignment target of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def referenced_names(tree, skip):
+    """Names read, attributes taken and names imported in the top-level
+    statements of `tree` other than `skip`."""
+    found = set()
+    for statement in tree.body:
+        if statement is skip:
+            continue
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_private_names_are_used():
+    """Every private top-level name is read somewhere in the package outside
+    its own definition, so dead helpers do not linger."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    unused = []
+    for module, tree in trees.items():
+        for name, node in private_definitions(tree):
+            if not any(name in referenced_names(t, node) for t in trees.values()):
+                unused.append(f"{module}:{name}")
+    assert unused == []
