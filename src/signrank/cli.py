@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for flags, kwargs in (
         (("--seed",), dict(type=int, help="seed for all randomness")),
-        (("--budget",), dict(type=int, help="hinge alternations per restart in analyze")),
+        (("--budget",), dict(type=int, help="at most N hinge alternations per restart in analyze")),
         (("--out",), dict(help="output path (default stdout)")),
         (("--format",), dict(choices=("text", "json"))),
     ):

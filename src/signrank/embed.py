@@ -178,6 +178,12 @@ def _lstsq_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(A) @ B
 
 
+# A restart retires unless its hinge loss fell by at least _PROGRESS of its
+# current value over the last _WINDOW alternations.
+_WINDOW = 50
+_PROGRESS = 0.2
+
+
 def hinge_search_upper(
     S: SignMatrix,
     k: int,
@@ -191,24 +197,27 @@ def hinge_search_upper(
     Each side is refit by exact least squares against targets that pull
     hinge-active entries to +-1 and leave inactive entries at their current
     prediction. All restarts advance in lockstep as one stack, each starting
-    from its own draw of `rng` (restart r from the r-th (U, V) pair), and a
-    restart retires after 50 alternations without improving its loss, or when
-    its loss is not finite. The search stops at the first alternation where
-    some restart has every margin S * (U V^T) positive and returns the lowest
-    such restart once `verify_realization` proves its signs (one that fails
-    the proof retires). A None result is absence of evidence, never a lower
-    bound.
+    from its own draw of `rng` (restart r from the r-th (U, V) pair). At
+    alternation t a restart retires unless its loss fell by at least 0.2 of
+    its current value since alternation t - 50 (losses before the start count
+    as +inf), so a non-finite loss retires at once and a fixed point after 50
+    alternations. `max_alternations` caps the alternations per restart. The
+    search stops at the first alternation where some restart has every
+    margin S * (U V^T) positive and returns the lowest such restart once
+    `verify_realization` proves its signs (one that fails the proof retires).
+    A None result is absence of evidence, never a lower bound.
     """
     if k < 1:
         raise ValueError("rank must be at least 1")
+    if max_alternations < 0:
+        raise ValueError("the alternation budget must be non-negative")
     E = S.entries.astype(float)
     n_rows, n_cols = E.shape
     start = rng.standard_normal((restarts, (n_rows + n_cols) * k))
     U = start[:, : n_rows * k].reshape(restarts, n_rows, k)
     V = start[:, n_rows * k :].reshape(restarts, n_cols, k)
-    best_loss = np.full(restarts, math.inf)
-    stall = np.zeros(restarts, dtype=int)
-    for _ in range(max_alternations):
+    history = np.full((restarts, _WINDOW), math.inf)
+    for t in range(max_alternations):
         P = U @ V.transpose(0, 2, 1)
         margins = E * P
         low = margins.min(axis=(1, 2))
@@ -221,14 +230,14 @@ def hinge_search_upper(
                 return witness
             retire[r] = True
         loss = np.maximum(1.0 - margins, 0.0).sum(axis=(1, 2))
-        improved = loss < best_loss - 1e-12
-        best_loss = np.where(improved, loss, best_loss)
-        stall = np.where(improved, 0, stall + 1)
-        retire |= (stall >= 50) | ~np.isfinite(loss)
+        # Written so that a NaN or infinite loss fails it.
+        progress = history[:, t % _WINDOW] - loss >= _PROGRESS * loss
+        history[:, t % _WINDOW] = loss
+        retire |= ~progress
         if retire.any():
             keep = ~retire
             U, V, P, margins = U[keep], V[keep], P[keep], margins[keep]
-            best_loss, stall = best_loss[keep], stall[keep]
+            history = history[keep]
         if not len(U):
             return None
         T = np.where(margins < 1.0, E, P)
@@ -266,11 +275,15 @@ def signrank_bracket(
     (identity witness always; the regular witness when it applies). Upper
     bounds: one plus the sign changes of a low-stabbing path, three when the
     VC dimension is at most one (a planar embedding along that path's order,
-    once verified), 2*degree + 1 for regular matrices, and any verified
-    factorization found at the current lower end. A failed factorization
-    search never moves the lower end, and a witness bound whose norm could
-    not be certified is left out and listed in `skipped`.
+    once verified), 2*degree + 1 for regular matrices, min(rows, cols) of the
+    distinct rows (sign rank is at most rank), and any verified factorization
+    found at the current lower end. A failed factorization search never
+    moves the lower end, and a witness bound whose norm could not be
+    certified is left out and listed in `skipped`. A negative
+    `hinge_alternations` raises ValueError even when no search runs.
     """
+    if hinge_alternations < 0:
+        raise ValueError("the alternation budget must be non-negative")
     if rng is None:
         rng = np.random.default_rng(0)
     Sd = distinct_rows(S)
@@ -293,6 +306,7 @@ def signrank_bracket(
         welzl_constant = ordering.max_sign_changes / Sd.n_rows ** (1.0 - 1.0 / vc)
     if info is not None and info.degree is not None:
         upper.append(("regular_degree", 2 * info.degree + 1))
+    upper.append(("trivial", min(Sd.n_rows, Sd.n_cols)))
 
     lo = max(1, integer_certificate(max(v for _, v in lower)))
     hi = min(v for _, v in upper)

@@ -69,6 +69,14 @@ def test_analyze_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_analyze_rejects_negative_budget(tmp_path, capsys):
+    matrix = tmp_path / "p3.txt"
+    assert main(["gen", "projective", "--p", "3", "--out", str(matrix)]) == 0
+    code, out, err = run_cli(capsys, "analyze", str(matrix), "--budget", "-5")
+    assert code == 2
+    assert out == "" and "budget" in err
+
+
 def test_analyze_parse_error_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("+-\n+x\n")

@@ -13,7 +13,9 @@ from signrank import (
     approx_sign_rank,
     grid_hyperplane,
     hamming_ball,
+    heavy_dominant_free_random,
     hinge_search_upper,
+    interval_class,
     projective_incidence,
     sc_star_bruteforce,
     signed_identity,
@@ -314,6 +316,73 @@ def test_hinge_search_retires_restart_that_fails_the_proof(monkeypatch):
     w = hinge_search_upper(S, 2, FixedStart(start), restarts=2)
     assert w is not None and verify_realization(w, S)
     assert calls[0][0] == 1
+
+
+@pytest.mark.parametrize(
+    "S, k, restarts, alternations, solves",
+    [
+        (projective_incidence(7, 2), 5, 6, 400, 104),
+        (hamming_ball(12, 2).matrix, 5, 6, 400, 188),
+        (signed_identity(4), 2, 8, 600, 162),
+    ],
+)
+def test_hinge_search_retires_hopeless_restarts_early(
+    monkeypatch, S, k, restarts, alternations, solves
+):
+    """Searches that find nothing stop once no restart's loss has fallen by a
+    fifth over 50 alternations, long before 2 * `alternations` solves."""
+    calls = count_solves(monkeypatch)
+    w = hinge_search_upper(
+        S, k, np.random.default_rng(0), restarts=restarts,
+        max_alternations=alternations,
+    )
+    assert w is None
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        grid_hyperplane(6, 3),
+        grid_hyperplane(5, 2),
+        disjointness(5),
+        heavy_dominant_free_random(16, 3, np.random.default_rng(0)),
+    ],
+)
+def test_bracket_keeps_factorization_witnesses(S):
+    """Retiring restarts that make no progress loses none of these rank-lo
+    witnesses at rng seeds 0-3."""
+    for seed in range(4):
+        report = signrank_bracket(S, np.random.default_rng(seed))
+        lo, hi = report.bracket
+        assert lo == hi and ("factorization", lo) in report.upper_bounds
+
+
+def test_hinge_search_rejects_negative_budget():
+    S = signed_identity(4)
+    with pytest.raises(ValueError):
+        hinge_search_upper(S, 2, np.random.default_rng(0), max_alternations=-1)
+    # The bracket rejects it even when no search would run.
+    with pytest.raises(ValueError):
+        signrank_bracket(SignMatrix.constant(2, 2, 1), hinge_alternations=-1)
+
+
+@pytest.mark.parametrize(
+    "S, path, trivial",
+    [
+        (interval_class(3).matrix, 15, 13),
+        (hamming_ball(8, 2).matrix, 11, 8),
+        (hamming_ball(10, 2).matrix, 13, 10),
+        (hamming_ball(12, 2).matrix, 15, 12),
+    ],
+)
+def test_bracket_trivial_ceiling(S, path, trivial):
+    """Sign rank is at most min(rows, cols) of the distinct rows, below the
+    Welzl path's bound on these tall matrices."""
+    report = signrank_bracket(S, np.random.default_rng(0))
+    assert ("path_welzl", path) in report.upper_bounds
+    assert ("trivial", trivial) in report.upper_bounds
+    assert report.bracket == (5, trivial)
 
 
 def test_bracket_signed_identity():
