@@ -179,9 +179,12 @@ def _lstsq_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 # A restart retires unless its hinge loss fell by at least _PROGRESS of its
-# current value over the last _WINDOW alternations.
+# current value over the last _WINDOW alternations, or it has at most _NEAR
+# wrong signs.
 _WINDOW = 50
 _PROGRESS = 0.2
+_NEAR = 3
+_BAD_BUDGET = "the alternation budget must be non-negative"
 
 
 def hinge_search_upper(
@@ -200,7 +203,8 @@ def hinge_search_upper(
     from its own draw of `rng` (restart r from the r-th (U, V) pair). At
     alternation t a restart retires unless its loss fell by at least 0.2 of
     its current value since alternation t - 50 (losses before the start count
-    as +inf), so a non-finite loss retires at once and a fixed point after 50
+    as +inf) or at most 3 of its margins are not positive. A non-finite loss
+    retires at once, and a fixed point with more than 3 wrong signs after 50
     alternations. `max_alternations` caps the alternations per restart. The
     search stops at the first alternation where some restart has every
     margin S * (U V^T) positive and returns the lowest such restart once
@@ -210,7 +214,7 @@ def hinge_search_upper(
     if k < 1:
         raise ValueError("rank must be at least 1")
     if max_alternations < 0:
-        raise ValueError("the alternation budget must be non-negative")
+        raise ValueError(_BAD_BUDGET)
     E = S.entries.astype(float)
     n_rows, n_cols = E.shape
     start = rng.standard_normal((restarts, (n_rows + n_cols) * k))
@@ -230,10 +234,11 @@ def hinge_search_upper(
                 return witness
             retire[r] = True
         loss = np.maximum(1.0 - margins, 0.0).sum(axis=(1, 2))
-        # Written so that a NaN or infinite loss fails it.
+        # Both tests are written so that a NaN or infinite loss fails them.
         progress = history[:, t % _WINDOW] - loss >= _PROGRESS * loss
+        near = ((margins <= 0.0).sum(axis=(1, 2)) <= _NEAR) & (loss < math.inf)
         history[:, t % _WINDOW] = loss
-        retire |= ~progress
+        retire |= ~(progress | near)
         if retire.any():
             keep = ~retire
             U, V, P, margins = U[keep], V[keep], P[keep], margins[keep]
@@ -283,7 +288,7 @@ def signrank_bracket(
     `hinge_alternations` raises ValueError even when no search runs.
     """
     if hinge_alternations < 0:
-        raise ValueError("the alternation budget must be non-negative")
+        raise ValueError(_BAD_BUDGET)
     if rng is None:
         rng = np.random.default_rng(0)
     Sd = distinct_rows(S)

@@ -319,25 +319,30 @@ def test_hinge_search_retires_restart_that_fails_the_proof(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "S, k, restarts, alternations, solves",
-    [
-        (projective_incidence(7, 2), 5, 6, 400, 104),
-        (hamming_ball(12, 2).matrix, 5, 6, 400, 188),
-        (signed_identity(4), 2, 8, 600, 162),
-    ],
+    "S, solves",
+    [(projective_incidence(7, 2), 104), (hamming_ball(12, 2).matrix, 188)],
 )
-def test_hinge_search_retires_hopeless_restarts_early(
-    monkeypatch, S, k, restarts, alternations, solves
-):
-    """Searches that find nothing stop once no restart's loss has fallen by a
-    fifth over 50 alternations, long before 2 * `alternations` solves."""
+def test_hinge_search_retires_hopeless_restarts_early(monkeypatch, S, solves):
+    """Rank-5 searches that find nothing stop once no restart's loss has
+    fallen by a fifth over 50 alternations, long before 2 * 400 solves."""
     calls = count_solves(monkeypatch)
-    w = hinge_search_upper(
-        S, k, np.random.default_rng(0), restarts=restarts,
-        max_alternations=alternations,
-    )
+    w = hinge_search_upper(S, 5, np.random.default_rng(0), restarts=6, max_alternations=400)
     assert w is None
     assert len(calls) == solves
+
+
+def test_hinge_search_keeps_restarts_near_a_realization(monkeypatch):
+    """Rank 2 leaves signed_identity(4) (sign rank 3) a wrong sign or more
+    short of a realization. Every restart here gets within 3 wrong signs and
+    is kept however slowly its loss falls, so the search spends its whole
+    budget on all 8."""
+    calls = count_solves(monkeypatch)
+    w = hinge_search_upper(
+        signed_identity(4), 2, np.random.default_rng(0), restarts=8, max_alternations=600
+    )
+    assert w is None
+    assert len(calls) == 2 * 600
+    assert all(shape[0] == 8 for shape in calls)
 
 
 @pytest.mark.parametrize(
@@ -356,6 +361,17 @@ def test_bracket_keeps_factorization_witnesses(S):
         report = signrank_bracket(S, np.random.default_rng(seed))
         lo, hi = report.bracket
         assert lo == hi and ("factorization", lo) in report.upper_bounds
+
+
+@pytest.mark.parametrize("draw, seed", [(2, 15), (5, 17), (6, 10)])
+def test_bracket_keeps_late_factorization_witnesses(draw, seed):
+    """These rank-4 witnesses appear after 200 or more alternations, on a
+    long plateau of the hinge loss at one to five wrong signs; a rule on the
+    loss alone retires them."""
+    S = heavy_dominant_free_random(16, 3, np.random.default_rng(draw))
+    report = signrank_bracket(S, np.random.default_rng(seed))
+    assert report.bracket == (4, 4)
+    assert ("factorization", 4) in report.upper_bounds
 
 
 def test_hinge_search_rejects_negative_budget():
