@@ -180,7 +180,8 @@ def _lstsq_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 # A restart retires unless its hinge loss fell by at least _PROGRESS of its
 # current value over the last _WINDOW alternations, or it has at most _NEAR
-# wrong signs.
+# wrong signs: some witnesses appear only after hundreds of alternations on a
+# slow loss plateau a few wrong signs short of a realization.
 _WINDOW = 50
 _PROGRESS = 0.2
 _NEAR = 3
