@@ -4,7 +4,10 @@ Classes over n columns are the non-empty subsets of the 2^n cube vertices,
 encoded as bit masks, so the full census at n <= 4 is a table over at most
 65536 masks. The per-mask VC dimension is computed with vectorized coverage
 tests: a column set is shattered by a class mask iff the mask meets the
-vertex set of every pattern. Larger n falls back to Monte Carlo sampling.
+vertex set of every pattern. Larger n falls back to Monte Carlo sampling:
+the drawn classes are stacked as bit arrays, and one scan of the (d+1)-sets
+of columns per stack decides VC <= d for all of its classes (no (d+1)-set
+is shattered), within the shattering search's subset budget.
 """
 
 from __future__ import annotations
@@ -18,15 +21,14 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .matrix import SignMatrix
-from .vc import (
-    ConceptClass,
-    cube_connected,
-    is_cube_connected,
-    sauer_bound,
-    vc_dimension,
-)
+from .vc import ConceptClass, cube_connected, is_cube_connected, sauer_bound, vc_at_most
 
 MAX_EXACT_N = 4
+
+# Bits (samples x columns x rows) per stacked VC test. A refusal scans the
+# whole subset budget for every sample of a stack, so stacks stay small:
+# from 2^17 bits down to this size the benchmark's censuses run no slower.
+_STACK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,9 @@ def _census_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
                 ok &= (masks & cover) != 0
             shattered_k |= ok
         vc[shattered_k] = k
-    sizes = np.array([m.bit_count() for m in range(n_masks)], dtype=np.int8)
+    sizes = np.zeros(1, dtype=np.int8)
+    for _ in range(n_vertices):
+        sizes = np.concatenate([sizes, sizes + 1])
     return vc, sizes
 
 
@@ -139,21 +143,35 @@ def sample_census(
     """Monte Carlo estimate of the fraction of classes with VC dimension at
     most d among uniformly random classes of `size` distinct vectors, with a
     binomial confidence radius (normal approximation, conservative at the
-    extremes)."""
+    extremes).
+
+    The samples are drawn one rng.choice each, in order, and stacked in
+    chunks of at most _STACK_CELLS bits (or one sample, if larger);
+    vc_at_most decides each chunk with
+    one scan of the (d+1)-sets of columns, which raises SizeLimitError past
+    SUBSET_BUDGET subsets while some sample has no shattered (d+1)-set.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > 62:
+        # Vertices are int64 bit masks drawn by rng.choice(1 << n).
+        raise ValueError("n must be at most 62 for sampling (vertices are 64-bit masks)")
     if d < 0 or d > n:
         raise ValueError(f"d must be between 0 and {n}")
     if size < 1 or size > (1 << n):
         raise ValueError(f"size must be between 1 and {1 << n}")
     if samples < 1:
         raise ValueError("samples must be positive")
+    chunk = max(1, _STACK_CELLS // (n * size))
+    columns = np.arange(n)[:, None]
     successes = 0
-    for _ in range(samples):
-        vertices = rng.choice(1 << n, size=size, replace=False)
-        rows = ((vertices[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1
-        if vc_dimension(SignMatrix(rows.astype(np.int8))) <= d:
-            successes += 1
+    for start in range(0, samples, chunk):
+        draws = min(chunk, samples - start)
+        vertices = np.stack(
+            [rng.choice(1 << n, size=size, replace=False) for _ in range(draws)]
+        )
+        bits = (vertices[:, None, :] >> columns) & 1
+        successes += int(vc_at_most(bits, d).sum())
     fraction = successes / samples
     spread = fraction * (1.0 - fraction)
     if spread == 0.0:

@@ -6,6 +6,8 @@ increasing size and the search stops at the first size with no witness, which
 is sound because shattering (plain and antipodal) is monotone under taking
 column subsets. Within one size, subsets are examined in lexicographic order
 by a batched numpy kernel that stops at the first batch holding a witness.
+The kernel also takes a stack of matrices with a common shape, so that one
+pass over the subsets of a size answers for all of them (see vc_at_most).
 The budget counts work actually done: a search that has examined
 SUBSET_BUDGET subsets of one size without a witness, with more left, raises
 SizeLimitError instead of running without bound.
@@ -24,8 +26,8 @@ from .matrix import SignMatrix, has_distinct_rows
 # Max number of column subsets examined per subset size before giving up.
 SUBSET_BUDGET = 2_000_000
 
-# Cells (subsets x distinct rows) per batch of the kernel. Each int64
-# temporary of a batch then takes about 1 MiB.
+# Cells (stacked matrices x subsets x distinct rows) per batch of the
+# kernel. Each int64 temporary of a batch then takes about 1 MiB.
 _BATCH_CELLS = 1 << 17
 
 ColumnSet = tuple[int, ...]
@@ -70,53 +72,61 @@ def _subsets(m: int, k: int, size: int) -> Iterator[np.ndarray]:
 
 def _dense_ranks(ids: np.ndarray) -> np.ndarray:
     """Renumber each row's ids as 0, 1, ... in increasing order."""
-    order = np.argsort(ids, axis=1)
-    s = np.take_along_axis(ids, order, axis=1)
+    order = np.argsort(ids, axis=-1)
+    s = np.take_along_axis(ids, order, axis=-1)
     steps = np.zeros_like(ids)
-    np.cumsum(s[:, 1:] != s[:, :-1], axis=1, out=steps[:, 1:])
+    np.cumsum(s[..., 1:] != s[..., :-1], axis=-1, out=steps[..., 1:])
     ranks = np.empty_like(ids)
-    np.put_along_axis(ranks, order, steps, axis=1)
+    np.put_along_axis(ranks, order, steps, axis=-1)
     return ranks
 
 
 def _pattern_ids(bits: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """ids[b, r] names the pattern of row r on the columns C[b]: equal
-    patterns get equal ids. Up to 62 columns the id is sum_i bits[C[b, i], r]
-    << i; wider sets are renumbered densely whenever the ids fill 62 bits."""
-    ids = np.zeros((len(C), bits.shape[1]), dtype=np.intp)
+    """ids[..., b, r] names the pattern of row r on the columns C[b] of the
+    matrix bits[...] (columns x rows, under any leading stack axes): equal
+    patterns get equal ids. Up to 62 columns the id is
+    sum_i bits[..., C[b, i], r] << i; wider sets are renumbered densely
+    whenever the ids fill 62 bits."""
+    rows = bits.shape[-1]
+    ids = np.zeros(bits.shape[:-2] + (len(C), rows), dtype=np.intp)
     shift = 0
     for i in range(C.shape[1]):
         if shift == 62:
-            ids, shift = _dense_ranks(ids), bits.shape[1].bit_length()
-        ids |= bits[C[:, i]] << shift
+            ids, shift = _dense_ranks(ids), rows.bit_length()
+        ids |= bits[..., C[:, i], :] << shift
         shift += 1
     return ids
 
 
 def _covered(bits: np.ndarray, C: np.ndarray, antipodal: bool) -> np.ndarray:
-    """Per subset C[b]: does every sign pattern (or, antipodally, every pair
-    of opposite patterns) occur among the rows?"""
+    """Per matrix of the stack and subset C[b], an array of shape
+    bits.shape[:-2] + (len(C),): does every sign pattern (or, antipodally,
+    every pair of opposite patterns) occur among the rows?"""
     k = C.shape[1]
     slots = 1 << (k - 1 if antipodal else k)
-    if bits.shape[1] < slots:
-        return np.zeros(len(C), dtype=bool)
-    ids = _pattern_ids(bits, C)
+    lead = bits.shape[:-2] + (len(C),)
+    if bits.shape[-1] < slots:
+        return np.zeros(lead, dtype=bool)
+    ids = _pattern_ids(bits, C).reshape(-1, bits.shape[-1])
     if antipodal:
         np.minimum(ids, ((1 << k) - 1) ^ ids, out=ids)
-    table = np.zeros((len(C), slots), dtype=bool)
-    table[np.arange(len(C))[:, None], ids] = True
-    return table.all(axis=1)
+    table = np.zeros((len(ids), slots), dtype=bool)
+    table[np.arange(len(ids))[:, None], ids] = True
+    return table.all(axis=1).reshape(lead)
 
 
 def _batches(bits: np.ndarray, k: int) -> Iterator[np.ndarray]:
     """The k-subsets of the columns in lexicographic order, in batches of at
-    most _BATCH_CELLS cells (subsets x rows, or subsets x k when k is the
-    larger, which only wide max_projections reach). Raises SizeLimitError
-    when SUBSET_BUDGET subsets have been handed out and more remain, so a
-    caller that stops early is never refused."""
-    m, rows = bits.shape
+    most _BATCH_CELLS cells (stacked matrices x subsets x rows, or x k when
+    k is the larger, which only wide max_projections reach). Raises
+    SizeLimitError when SUBSET_BUDGET subsets have been handed out and more
+    remain, so a caller that stops early is never refused. Every matrix of
+    a stack is examined on every subset handed out, so the budget bounds
+    the subsets examined per matrix."""
+    m, rows = bits.shape[-2:]
+    width = math.prod(bits.shape[:-2]) * max(rows, k)
     examined = 0
-    for C in _subsets(m, k, max(1, _BATCH_CELLS // max(rows, k))):
+    for C in _subsets(m, k, max(1, _BATCH_CELLS // max(1, width))):
         left = SUBSET_BUDGET - examined
         if len(C) > left:
             if left:
@@ -167,6 +177,25 @@ def vc_dimension(S: SignMatrix) -> int:
     bits = _bit_columns(S)
     m, rows = bits.shape
     return _largest_shattered(bits, min(m, rows.bit_length() - 1), antipodal=False)
+
+
+def vc_at_most(bits: np.ndarray, d: int) -> np.ndarray:
+    """Per matrix of a stack bits (..., columns, rows) of 0/1 entries with
+    pairwise distinct rows: is its VC dimension at most d? By monotonicity
+    that holds exactly when no (d+1)-set of columns is shattered, so one
+    scan of that size answers for the whole stack, and none is needed when
+    d + 1 exceeds the columns or 2^(d+1) the rows. The scan stops once every
+    matrix has a witness, and is bounded by SUBSET_BUDGET like the others.
+    """
+    m, rows = bits.shape[-2:]
+    found = np.zeros(bits.shape[:-2], dtype=bool)
+    if d + 1 > min(m, rows.bit_length() - 1):
+        return ~found
+    for C in _batches(bits, d + 1):
+        found |= _covered(bits, C, antipodal=False).any(axis=-1)
+        if found.all():
+            break
+    return ~found
 
 
 def dual_sign_rank(S: SignMatrix, vc: int | None = None) -> int:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from signrank import (
+    SignMatrix,
     SizeLimitError,
     enumerate_census,
     is_cube_connected,
@@ -11,6 +12,7 @@ from signrank import (
     sauer_bound,
     vc_dimension,
 )
+from signrank import census, vc
 from signrank.census import class_from_mask, cube_connectivity_crosscheck
 
 
@@ -118,3 +120,75 @@ def test_sample_census_estimates_n5():
     assert 0.0 <= est.fraction <= 1.0
     assert est.ci_radius > 0
     assert est.samples == 60
+
+
+def test_census_sizes_count_vertices():
+    for n in range(1, 5):
+        _, sizes = census._census_tables(n)
+        expected = [bin(mask).count("1") for mask in range(1 << (1 << n))]
+        assert sizes.dtype == np.int8
+        assert sizes.tolist() == expected
+
+
+def per_sample_successes(n, d, size, samples, seed):
+    """The census as one vc_dimension call per drawn class, in draw order."""
+    rng = np.random.default_rng(seed)
+    successes = 0
+    for _ in range(samples):
+        vertices = rng.choice(1 << n, size=size, replace=False)
+        rows = ((vertices[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1
+        successes += vc_dimension(SignMatrix(rows.astype(np.int8))) <= d
+    return successes
+
+
+def census_shapes():
+    """(n, d, size, samples, seed): random shapes, then the edge cases d = n,
+    2^(d+1) > size, size = 2^n and size = 1."""
+    rng = np.random.default_rng(8)
+    shapes = []
+    for seed in range(24):
+        n = int(rng.integers(1, 8))
+        d = int(rng.integers(0, n + 1))
+        size = int(rng.integers(1, min(1 << n, 40) + 1))
+        shapes.append((n, d, size, 30, seed))
+    shapes += [(4, 4, 9, 20, 0), (6, 2, 7, 20, 1), (3, 1, 8, 5, 2), (4, 3, 16, 5, 3)]
+    shapes += [(5, 0, 1, 10, 4), (1, 0, 1, 3, 5), (1, 0, 2, 3, 6), (6, 1, 4, 40, 7)]
+    return shapes
+
+
+@pytest.mark.parametrize("stack_cells, batch_cells", [(None, None), (1, 1), (50, 7)])
+def test_sample_census_matches_per_sample_loop(monkeypatch, stack_cells, batch_cells):
+    # Tiny stacks and batches make every census cross many chunk and batch
+    # boundaries.
+    if stack_cells is not None:
+        monkeypatch.setattr(census, "_STACK_CELLS", stack_cells)
+        monkeypatch.setattr(vc, "_BATCH_CELLS", batch_cells)
+    for n, d, size, samples, seed in census_shapes():
+        est = sample_census(n, d, size, samples, np.random.default_rng(seed))
+        assert est.successes == per_sample_successes(n, d, size, samples, seed), (n, d, size)
+
+
+def test_sample_census_benchmark_counts():
+    # The sampled ops of the small_batch benchmark workload, at seed 0.
+    for (n, d, size), successes in (((5, 2, 10), 211), ((6, 2, 12), 54), ((7, 3, 20), 378)):
+        est = sample_census(n, d, size, 400, np.random.default_rng(0))
+        assert est.successes == successes
+
+
+def test_sample_census_rejects_n_past_62():
+    for n in (63, 64):
+        with pytest.raises(ValueError, match="at most 62"):
+            sample_census(n, 2, 10, 3, np.random.default_rng(0))
+    est = sample_census(62, 2, 10, 3, np.random.default_rng(0))
+    assert est.samples == 3
+
+
+def test_sample_census_subset_budget(monkeypatch):
+    # Level 4 of the 8-cube has C(8, 4) = 70 subsets, and 16 random vertices
+    # shatter none of them here, so every sample scans the whole level.
+    assert per_sample_successes(8, 3, 16, 5, 0) == 5
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 70)
+    assert sample_census(8, 3, 16, 5, np.random.default_rng(0)).successes == 5
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 69)
+    with pytest.raises(SizeLimitError, match="examined 69 of 70 column subsets of size 4"):
+        sample_census(8, 3, 16, 5, np.random.default_rng(0))

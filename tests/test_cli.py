@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from signrank import parse_sign_matrix, count_sign_changes, spectral
+from signrank import parse_sign_matrix, count_sign_changes, spectral, vc
 from signrank.cli import main
 
 
@@ -150,6 +150,31 @@ def test_enumerate_sampling(capsys):
     doc = json.loads(out)
     assert doc["fraction"] == 1.0
     assert doc["samples"] == 40
+
+
+def test_enumerate_sampling_rejects_n_past_62(capsys):
+    for n in ("63", "64"):
+        code, _, err = run_cli(
+            capsys, "enumerate", "--sample", "--n", n, "--d", "2", "--size", "10", "--samples", "3"
+        )
+        assert code == 2
+        assert "at most 62" in err
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--sample", "--n", "62", "--d", "2", "--size", "10", "--samples", "3"
+    )
+    assert code == 0
+    assert json.loads(out)["samples"] == 3
+
+
+def test_enumerate_sampling_over_budget_exit_code(capsys, monkeypatch):
+    # Level 4 of the 8-cube has 70 subsets; a budget of 69 refuses the scan.
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 69)
+    code, out, err = run_cli(
+        capsys, "enumerate", "--sample", "--n", "8", "--d", "3", "--size", "16", "--samples", "5"
+    )
+    assert code == 3
+    assert out == ""
+    assert "examined 69 of 70" in err
 
 
 def test_path_command_consistent(tmp_path, capsys):

@@ -64,3 +64,28 @@ def test_private_names_are_used():
             if not any(name in referenced_names(t, node) for t in trees.values()):
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def imported_names(tree):
+    """(name, line) for each name bound by an import in the module, other
+    than `from __future__` features."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_imports_are_used():
+    """Every name a module imports is read in that module, so stale imports
+    do not linger. `__init__.py` is exempt: its imports are the re-exports."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}:{name}" for name, line in imported_names(tree) if name not in read]
+    assert unused == []
