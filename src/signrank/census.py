@@ -57,21 +57,20 @@ def _census_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(vc, size) arrays indexed by class mask over the 2^n cube vertices."""
     n_vertices = 1 << n
     n_masks = 1 << n_vertices
-    masks = np.arange(n_masks, dtype=np.int64)
+    masks = np.arange(n_masks, dtype=np.uint16)  # 2^n <= 16 vertices
+    vertices = np.arange(n_vertices, dtype=np.uint16)
+    vertex_bits = (vertices[:, None] >> np.arange(n)) & 1
     vc = np.zeros(n_masks, dtype=np.int8)
     for k in range(1, n + 1):
         shattered_k = np.zeros(n_masks, dtype=bool)
         for cols in combinations(range(n), k):
+            # cover[p]: the vertices showing pattern p on cols, as a mask
+            pattern = vertex_bits[:, cols] @ (1 << np.arange(k))
+            cover = np.zeros(1 << k, dtype=np.uint16)
+            np.bitwise_or.at(cover, pattern, 1 << vertices)
             ok = np.ones(n_masks, dtype=bool)
-            for pattern in range(1 << k):
-                cover = 0
-                for v in range(n_vertices):
-                    if all(
-                        (v >> c) & 1 == (pattern >> i) & 1
-                        for i, c in enumerate(cols)
-                    ):
-                        cover |= 1 << v
-                ok &= (masks & cover) != 0
+            for c in cover:
+                ok &= (masks & c) != 0
             shattered_k |= ok
         vc[shattered_k] = k
     sizes = np.zeros(1, dtype=np.int8)

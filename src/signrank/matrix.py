@@ -20,8 +20,8 @@ class SignMatrix:
     """Immutable dense matrix whose entries are exactly +1 or -1.
 
     `row_masks` exposes each row as an integer bit mask (bit j set iff the
-    entry in column j is +1); the shattering and ordering routines use these
-    masks as compact row fingerprints regardless of the column count.
+    entry in column j is +1), the vertex encoding of the one-inclusion
+    graph test `vc.is_cube_connected`.
     """
 
     def __init__(self, entries) -> None:
@@ -205,17 +205,16 @@ def regularity(B: BooleanMatrix) -> RegularityInfo:
 
 
 def distinct_rows(S: SignMatrix) -> SignMatrix:
-    """Drop duplicate rows, keeping the first occurrence of each."""
-    seen: set[tuple[int, ...]] = set()
-    keep: list[int] = []
-    for i, row in enumerate(S.row_tuples()):
-        if row not in seen:
-            seen.add(row)
-            keep.append(i)
+    """Drop duplicate rows, keeping the first occurrence of each; S itself
+    when its rows are already distinct."""
+    data = np.ascontiguousarray(S.entries)
+    # One opaque item per row makes the dedupe a 1-d unique.
+    rows = data.view(np.dtype((np.void, data.shape[1]))).ravel()
+    keep = np.sort(np.unique(rows, return_index=True)[1])
     if len(keep) == S.n_rows:
         return S
-    return SignMatrix(S.entries[keep])
+    return SignMatrix(data[keep])
 
 
 def has_distinct_rows(S: SignMatrix) -> bool:
-    return len(set(S.row_masks)) == S.n_rows
+    return distinct_rows(S) is S

@@ -233,6 +233,8 @@ def regular_upper_bound(S: SignMatrix) -> int:
 
 
 def integer_certificate(bound: float) -> int:
-    """Round a real lower bound up to the integer it certifies, guarding
-    against float noise pushing exact values over the ceiling."""
-    return math.ceil(bound - 1e-9)
+    """Round a real lower bound up to the integer it certifies. A witness
+    bound is one correctly rounded division N/t by a certified t, so
+    fl(N/t) > k implies N/t > k: no float margin is needed, and one would
+    only throw a certified unit away."""
+    return math.ceil(bound)

@@ -5,10 +5,10 @@ column reweighting, doubles its edges, and reads a row order off an Eulerian
 circuit. Its pair weights are kept as exact integers in an n x n array and
 updated from the crossed columns alone, so ties are broken among exactly
 equal weights: the seed alone fixes the output, whatever the BLAS library or
-thread count, and memory is O(n^2) for n rows. A specialized constructor
-handles VC dimension one with at most two sign changes per column,
-`low_stabbing_order` picks between the two, and a factorial-search oracle
-gives the exact optimum for up to eight rows.
+thread count, and memory is O(n^2) for n rows. For VC dimension one, a
+single lexicographic sort of the rows gives an optimal order, with at most
+two sign changes per column; `low_stabbing_order` picks between the two,
+and a factorial-search oracle gives the exact optimum for up to eight rows.
 """
 
 from __future__ import annotations
@@ -259,71 +259,31 @@ def welzl_path(
 
 
 def vc1_path(S: SignMatrix, vc: int | None = None) -> RowOrdering:
-    """Row ordering with at most two sign changes per column, for matrices of
-    VC dimension at most one with distinct rows (`vc`, when given, is taken
-    as the VC dimension instead of recomputing it).
+    """Optimal row ordering, with at most two sign changes per column, of a
+    distinct-row matrix of VC dimension at most one (`vc`, when given, is
+    taken as the VC dimension instead of recomputing it).
 
-    Peels one column at a time: constant columns are dropped outright, and
-    otherwise some column has a unique minority entry, so it has at most two
-    sign changes under any order and can be removed (merging the minority row
-    with its twin if the two collapse). The base order is lifted back by
-    re-inserting each twin next to its partner.
+    Let r be the row farthest from row 0 and A_j the rows that differ from r
+    in column j. No column pair is shattered and r shows (r_j, r_k) on every
+    pair, so any two A_j are nested or disjoint. Sorting the rows by their
+    A_j indicators, columns ranked by decreasing |A_j|, makes each A_j one
+    run, since its rows agree on every earlier column: at most two changes.
+    If some order has one change per column, the distance from any row grows
+    towards both ends of it, so r is an end, the A_j are suffixes, and the
+    sort finds that order. A wrong `vc` shows as more than two changes.
     """
     if not has_distinct_rows(S):
         raise ValueError("rows must be pairwise distinct (apply distinct_rows first)")
     if (vc_dimension(S) if vc is None else vc) > 1:
         raise ValueError("matrix has VC dimension at least 2")
-
-    rows: list[tuple[int, tuple[int, ...]]] = [
-        (i, t) for i, t in enumerate(S.row_tuples())
-    ]
-    lifts: list[tuple[int, int]] = []
-    while True:
-        if len(rows) == 1:
-            order = [rows[0][0]]
-            break
-        width = len(rows[0][1])
-        keep = [
-            j for j in range(width) if any(t[j] != rows[0][1][j] for _, t in rows)
-        ]
-        if len(keep) < width:
-            rows = [(i, tuple(t[j] for j in keep)) for i, t in rows]
-            continue
-        if width == 1:
-            order = [i for i, _ in rows]
-            break
-        r_count = len(rows)
-        best_m, j0 = min(
-            (min(ones, r_count - ones), j)
-            for j, ones in (
-                (j, sum(1 for _, t in rows if t[j] == 1)) for j in range(width)
-            )
-        )
-        if best_m != 1:
-            raise AssertionError("pivot column must have a unique minority entry")
-        ones0 = sum(1 for _, t in rows if t[j0] == 1)
-        minority = 1 if ones0 <= r_count - ones0 else -1
-        min_pos = next(k for k, (_, t) in enumerate(rows) if t[j0] == minority)
-        min_id, min_tuple = rows[min_pos]
-        stripped = min_tuple[:j0] + min_tuple[j0 + 1 :]
-        twin_pos = next(
-            (
-                k
-                for k, (_, t) in enumerate(rows)
-                if k != min_pos and t[:j0] + t[j0 + 1 :] == stripped
-            ),
-            None,
-        )
-        if twin_pos is not None:
-            lifts.append((min_id, rows[twin_pos][0]))
-        rows = [
-            (i, t[:j0] + t[j0 + 1 :])
-            for k, (i, t) in enumerate(rows)
-            if k != twin_pos
-        ]
-    for min_id, twin_id in reversed(lifts):
-        order.insert(order.index(min_id) + 1, twin_id)
-    return count_sign_changes(S, order)
+    X = S.entries
+    A = X != X[(X != X[0]).sum(axis=1).argmax()]
+    ranked = np.argsort(-A.sum(axis=0), kind="stable")
+    # np.lexsort sorts by its last key first
+    ordering = count_sign_changes(S, np.lexsort(A[:, ranked[::-1]].T))
+    if ordering.max_sign_changes > 2:
+        raise ValueError("matrix has VC dimension at least 2")
+    return ordering
 
 
 def low_stabbing_order(

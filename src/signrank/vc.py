@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import SizeLimitError
-from .matrix import SignMatrix, has_distinct_rows
+from .matrix import SignMatrix, distinct_rows, has_distinct_rows
 
 # Max number of column subsets examined per subset size before giving up.
 SUBSET_BUDGET = 2_000_000
@@ -46,11 +46,8 @@ def _normalize_columns(S: SignMatrix, cols: Iterable[int]) -> ColumnSet:
 
 def _bit_columns(S: SignMatrix) -> np.ndarray:
     """The distinct rows of S as a 0/1 array of shape columns x rows."""
-    plus = np.ascontiguousarray(S.entries == 1)
-    # One opaque item per row makes the dedupe a 1-d unique.
-    rows = plus.view(np.dtype((np.void, plus.shape[1]))).ravel()
-    _, first = np.unique(rows, return_index=True)
-    return np.ascontiguousarray(plus[first].T, dtype=np.intp)
+    plus = distinct_rows(S).entries == 1
+    return np.ascontiguousarray(plus.T, dtype=np.intp)
 
 
 def _subsets(m: int, k: int, size: int) -> Iterator[np.ndarray]:

@@ -64,6 +64,16 @@ def test_census_vc_table_matches_direct_computation():
                 assert is_maximum_class(C, d)
 
 
+def test_census_vc_table_entries_match_vc_dimension():
+    # every class mask for n <= 3, and a sample of the 65535 at n = 4
+    rng = np.random.default_rng(3)
+    for n in range(1, 5):
+        vc, _ = census._census_tables(n)
+        masks = range(1, 1 << (1 << n)) if n < 4 else rng.integers(1, 1 << 16, size=300)
+        for mask in masks:
+            assert vc[mask] == vc_dimension(class_from_mask(int(mask), n).matrix)
+
+
 def test_maximum_classes_connected_and_sized():
     for n in (2, 3):
         for d in range(1, n + 1):

@@ -135,6 +135,13 @@ def test_forster_bound_rejects_infeasible_and_rectangular():
         forster_bound(rect, WitnessMatrix(np.ones((2, 3)), "custom", 0.0))
 
 
+def test_integer_certificate_keeps_integral_bounds():
+    # A certified bound of exactly 4 certifies 4, and the next float above
+    # it certifies 5: N/t > 4 holds whenever fl(N/t) > 4.
+    assert integer_certificate(4.0) == 4
+    assert integer_certificate(np.nextafter(4.0, 5.0)) == 5
+
+
 def test_spectral_signrank_lower():
     P = projective_incidence(3, 2)
     lower = spectral_signrank_lower(P)

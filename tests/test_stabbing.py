@@ -28,7 +28,7 @@ from signrank import (
     vc_dimension,
     welzl_path,
 )
-from testutil import random_distinct_matrix, random_vc1_matrix
+from testutil import random_distinct_matrix, random_tree_vc1_matrix, random_vc1_matrix
 
 
 def brute_sc_star(S):
@@ -159,6 +159,9 @@ def test_vc1_path_examples():
     assert vc1_path(SignMatrix([[1], [-1]])).max_sign_changes == 1
     with pytest.raises(ValueError):
         vc1_path(disjointness(2))
+    # a wrong vc=1 shows as a column with more than two sign changes
+    with pytest.raises(ValueError):
+        vc1_path(disjointness(2), 1)
 
 
 def test_vc1_path_random_instances():
@@ -171,6 +174,28 @@ def test_vc1_path_random_instances():
         # recount independently
         recount = count_sign_changes(S, ordering.permutation)
         assert recount.sign_changes == ordering.sign_changes
+
+
+def chain(n):
+    """Threshold matrix: row i is +1 on the columns before i, so the row
+    order 0, 1, ..., n-1 has one sign change per column."""
+    return np.where(np.arange(n - 1)[None, :] < np.arange(n)[:, None], 1, -1).astype(np.int8)
+
+
+def test_vc1_path_is_optimal():
+    # a shuffled 8-row chain, which still has an order with one change per
+    # column
+    shuffled = SignMatrix(chain(8)[[6, 5, 7, 2, 3, 4, 0, 1]])
+    assert vc1_path(shuffled, 1).max_sign_changes == 1
+    rng = np.random.default_rng(15)
+    for trial in range(120):
+        if trial % 3 == 0:
+            n = int(rng.integers(2, 9))
+            S = SignMatrix(chain(n)[rng.permutation(n)] * rng.choice((-1, 1), size=n - 1))
+        else:
+            S = random_tree_vc1_matrix(rng)
+        assert vc_dimension(S) <= 1
+        assert vc1_path(S).max_sign_changes == sc_star_bruteforce(S)
 
 
 def test_sc_star_examples():

@@ -39,3 +39,24 @@ def random_vc1_matrix(rng: np.random.Generator, max_cols: int = 12) -> SignMatri
         data = np.hstack([data, data[:, dup : dup + 1]])
     perm = rng.permutation(data.shape[1])
     return SignMatrix(data[:, perm].astype(np.int8))
+
+
+def random_tree_vc1_matrix(
+    rng: np.random.Generator, max_rows: int = 8, max_cols: int = 9
+) -> SignMatrix:
+    """Random distinct-row matrix of VC dimension at most one, drawn from a
+    maximum class: a tree in the cube whose edges flip distinct columns, one
+    new vertex per column. Keeps a random set of at most max_rows vertices in
+    random order, and may duplicate a column and flip column signs."""
+    n_cols = int(rng.integers(1, max_cols + 1))
+    tree = [rng.choice((-1, 1), size=n_cols)]
+    for j in rng.permutation(n_cols):
+        v = tree[int(rng.integers(len(tree)))].copy()
+        v[j] = -v[j]
+        tree.append(v)
+    n_rows = int(rng.integers(1, min(max_rows, len(tree)) + 1))
+    data = np.array(tree)[rng.choice(len(tree), size=n_rows, replace=False)]
+    if rng.random() < 0.3:
+        data = np.hstack([data, data[:, [int(rng.integers(n_cols))]]])
+    data = data * rng.choice((-1, 1), size=data.shape[1])
+    return SignMatrix(data.astype(np.int8))
