@@ -169,7 +169,7 @@ def _cmd_gen(args) -> int:
         matrix = generators.disjointness(args.n)
     elif name == "projective":
         _require(args, ["p"])
-        matrix = generators.projective_incidence(args.p, args.d if args.d else 2)
+        matrix = generators.projective_incidence(args.p, 2 if args.d is None else args.d)
     elif name == "hamming-ball":
         _require(args, ["n", "d"])
         matrix = generators.hamming_ball(args.n, args.d).matrix

@@ -8,6 +8,7 @@ to share between concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,23 +17,22 @@ from .errors import MatrixFormatError
 _SIGN_CHARS = {"+": 1, "-": -1}
 
 
-class SignMatrix:
-    """Immutable dense matrix whose entries are exactly +1 or -1.
+class _Matrix:
+    """Immutable dense int8 matrix with at least one row and one column,
+    whose entries are among `_values` (spelled `_rule` in errors)."""
 
-    `row_masks` exposes each row as an integer bit mask (bit j set iff the
-    entry in column j is +1), the vertex encoding of the one-inclusion
-    graph test `vc.is_cube_connected`.
-    """
+    _kind: str
+    _values: tuple[int, int]
+    _rule: str
 
     def __init__(self, entries) -> None:
         data = np.array(entries, dtype=np.int8)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("a sign matrix needs at least one row and one column")
-        if not np.isin(data, (-1, 1)).all():
-            raise ValueError("sign matrix entries must be +1 or -1")
+            raise ValueError(f"a {self._kind} matrix needs at least one row and one column")
+        if not np.isin(data, self._values).all():
+            raise ValueError(f"{self._kind} matrix entries must be {self._rule}")
         data.setflags(write=False)
         self._data = data
-        self._masks: tuple[int, ...] | None = None
 
     @property
     def entries(self) -> np.ndarray:
@@ -50,17 +50,36 @@ class SignMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    @property
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.shape == other.shape
+            and bool((self._data == other._data).all())
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n_rows}x{self.n_cols})"
+
+
+class SignMatrix(_Matrix):
+    """Immutable dense matrix whose entries are exactly +1 or -1.
+
+    `row_masks` exposes each row as an integer bit mask (bit j set iff the
+    entry in column j is +1), the vertex encoding of the one-inclusion
+    graph test `vc.is_cube_connected`.
+    """
+
+    _kind, _values, _rule = "sign", (-1, 1), "+1 or -1"
+
+    @cached_property
     def row_masks(self) -> tuple[int, ...]:
-        if self._masks is None:
-            masks = []
-            for row in self._data:
-                m = 0
-                for j in np.flatnonzero(row == 1):
-                    m |= 1 << int(j)
-                masks.append(m)
-            self._masks = tuple(masks)
-        return self._masks
+        masks = []
+        for row in self._data:
+            m = 0
+            for j in np.flatnonzero(row == 1):
+                m |= 1 << int(j)
+            masks.append(m)
+        return tuple(masks)
 
     def row_tuples(self) -> list[tuple[int, ...]]:
         return [tuple(int(v) for v in row) for row in self._data]
@@ -85,58 +104,15 @@ class SignMatrix:
     def from_rows(cls, rows) -> "SignMatrix":
         return cls(np.array(list(rows), dtype=np.int8))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignMatrix)
-            and self.shape == other.shape
-            and bool((self._data == other._data).all())
-        )
 
-    def __repr__(self) -> str:
-        return f"SignMatrix({self.n_rows}x{self.n_cols})"
-
-
-class BooleanMatrix:
+class BooleanMatrix(_Matrix):
     """Immutable dense matrix with entries 0 or 1."""
 
-    def __init__(self, entries) -> None:
-        data = np.array(entries, dtype=np.int8)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("a boolean matrix needs at least one row and one column")
-        if not np.isin(data, (0, 1)).all():
-            raise ValueError("boolean matrix entries must be 0 or 1")
-        data.setflags(write=False)
-        self._data = data
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._data
-
-    @property
-    def n_rows(self) -> int:
-        return int(self._data.shape[0])
-
-    @property
-    def n_cols(self) -> int:
-        return int(self._data.shape[1])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
+    _kind, _values, _rule = "boolean", (0, 1), "0 or 1"
 
     @classmethod
     def ones(cls, n_rows: int, n_cols: int) -> "BooleanMatrix":
         return cls(np.ones((n_rows, n_cols), dtype=np.int8))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BooleanMatrix)
-            and self.shape == other.shape
-            and bool((self._data == other._data).all())
-        )
-
-    def __repr__(self) -> str:
-        return f"BooleanMatrix({self.n_rows}x{self.n_cols})"
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Row orderings with few sign changes per column.
 
 The central routine builds a spanning tree greedily under a multiplicative
-column reweighting, doubles its edges, and reads a row order off an Eulerian
-circuit. Its pair weights are kept as exact integers in an n x n array and
+column reweighting and orders the rows by a preorder walk of the tree. That
+is the paper's shortcut of an Eulerian circuit of the doubled tree: such a
+circuit crosses each edge once in each direction, so once it enters a
+subtree it visits all of it before leaving, and its first visits form a
+preorder. Its pair weights are kept as exact integers in an n x n array and
 updated from the crossed columns alone, so ties are broken among exactly
 equal weights: the seed alone fixes the output, whatever the BLAS library or
 thread count, and memory is O(n^2) for n rows. For VC dimension one, a
@@ -84,38 +87,6 @@ def doubling_update(
     return out, x
 
 
-def _euler_circuit_doubled(n: int, edges: list[tuple[int, int]]) -> list[int]:
-    """Eulerian circuit of the multigraph obtained by doubling every edge of
-    a spanning tree (all degrees even, so a circuit exists)."""
-    if not edges:
-        return [0]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    remaining: dict[tuple[int, int], int] = {}
-    for u, v in edges:
-        adj[u].extend((v, v))
-        adj[v].extend((u, u))
-        remaining[(min(u, v), max(u, v))] = 2
-    ptr = [0] * n
-    stack = [edges[0][0]]
-    circuit: list[int] = []
-    while stack:
-        x = stack[-1]
-        moved = False
-        while ptr[x] < len(adj[x]):
-            y = adj[x][ptr[x]]
-            key = (min(x, y), max(x, y))
-            if remaining[key] > 0:
-                remaining[key] -= 1
-                stack.append(y)
-                moved = True
-                break
-            ptr[x] += 1
-        if not moved:
-            circuit.append(stack.pop())
-    circuit.reverse()
-    return circuit
-
-
 def _int_diff_sums(X: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Python-int matrix of sum_j 2^e_j over the columns j of the +-1 matrix
     X where rows u and v differ."""
@@ -135,8 +106,9 @@ class _PairWeights:
     varying columns stays at most _EXACT_LIMIT = 2^52, every partial sum of
     an update is a multiple of 1/2 of magnitude at most 2^52, so float64
     holds each weight exactly in any summation order. Past that, once
-    raising `base` no longer helps, the weights move to Python integers:
-    slow, but still exact.
+    raising `base` no longer helps, W becomes an object array of Python
+    integers with +inf on dead pairs, which Python compares with any
+    integer exactly: slow, but still exact.
     """
 
     def __init__(self, S: SignMatrix) -> None:
@@ -149,21 +121,15 @@ class _PairWeights:
         self.n_constant = n_cols - int(self.varying.sum())
         self.W = (n_cols - self.X @ self.X.T) / 2.0  # Hamming distances
         self.W[np.tri(n, dtype=bool)] = np.inf
-        self.exact: np.ndarray | None = None  # Python-int weights, in units of 2^0
-        self.dead: np.ndarray | None = None  # dead pairs of `exact`
 
     def ties(self) -> np.ndarray:
         """Flat indices (row-major) of the live pairs of least weight."""
-        if self.exact is None:
-            return np.flatnonzero(self.W == self.W.min())
-        cand = np.where(self.dead, np.inf, self.exact)
-        return np.flatnonzero(cand == cand.min())
+        return np.flatnonzero(self.W == self.W.min())
 
     def kill(self, A: list[int], B: list[int]) -> None:
         """Mark every pair between components A and B dead."""
-        target, value = (self.W, np.inf) if self.exact is None else (self.dead, True)
-        target[np.ix_(A, B)] = value
-        target[np.ix_(B, A)] = value
+        self.W[np.ix_(A, B)] = np.inf
+        self.W[np.ix_(B, A)] = np.inf
 
     def double(self, crossed: np.ndarray) -> float:
         """Double the crossed columns and update the pair weights. Returns
@@ -171,17 +137,19 @@ class _PairWeights:
         mass = sum(1 << int(k) for k in self.e[crossed])
         x = mass / self.total
         self.total += mass
-        if self.exact is None and self._scaled_total() > _EXACT_LIMIT:
+        if self.W.dtype == float and self._scaled_total() > _EXACT_LIMIT:
             self._rebase()
             if self._scaled_total() > _EXACT_LIMIT:
                 self._to_exact()
         XC = self.X[:, crossed]
-        if self.exact is None:
+        if self.W.dtype == float:
             w = np.ldexp(1.0, self.e[crossed] - self.base)
             self.W -= (XC * (0.5 * w)) @ XC.T
             self.W += 0.5 * w.sum()
         else:
-            self.exact += _int_diff_sums(XC, self.e[crossed])
+            # inf + int raises OverflowError past 2^1024, so dead pairs are skipped
+            live = self.W != np.inf
+            np.add(self.W, _int_diff_sums(XC, self.e[crossed]), out=self.W, where=live)
         self.e[crossed] += 1
         return x
 
@@ -195,9 +163,9 @@ class _PairWeights:
 
     def _to_exact(self) -> None:
         """Move the weights to Python integers, in units of 2^0."""
-        self.exact = _int_diff_sums(self.X, self.e)
-        self.dead = np.isinf(self.W)
-        self.W = None
+        dead = np.isinf(self.W)
+        self.W = _int_diff_sums(self.X, self.e)
+        self.W[dead] = np.inf
 
     def _scaled_total(self) -> int:
         """Total weight of the varying columns after this step's doubling,
@@ -214,8 +182,11 @@ def welzl_path(
     components by a minimum-weight row pair (weight = probability mass of the
     columns where the two rows differ, ties broken uniformly by `tie_rng`
     among exactly equal weights, in row-major pair order), doubles the mass
-    of the crossed columns, and finally converts the doubled tree into a path
-    via an Eulerian circuit, keeping the first visit of each row. Weights
+    of the crossed columns, and finally lists the rows in preorder of the
+    tree, from the first row of the first edge, with the children of each
+    row in edge order. This is the order of first visits of an Eulerian
+    circuit of the doubled tree (see the module docstring), the one whose
+    circuit takes the edges at each row in edge order. Weights
     are compared exactly, so the output depends on the seed alone, not on
     the BLAS library or its thread count; memory is O(n^2) for n rows.
 
@@ -248,13 +219,17 @@ def welzl_path(
         state.x_log.append(weights.double(np.flatnonzero(S.entries[u] != S.entries[v])))
     state.p = np.array([(1 << int(k)) / weights.total for k in weights.e])
 
-    circuit = _euler_circuit_doubled(n, state.forest_edges)
-    seen: set[int] = set()
-    perm = []
-    for r in circuit:
-        if r not in seen:
-            seen.add(r)
-            perm.append(r)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in state.forest_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    perm: list[int] = []
+    seen, stack = set(), [state.forest_edges[0][0]]
+    while stack:
+        r = stack.pop()
+        seen.add(r)
+        perm.append(r)
+        stack.extend(c for c in reversed(adj[r]) if c not in seen)
     return count_sign_changes(S, perm), state
 
 

@@ -4,8 +4,11 @@ Everything here is exhaustive search over column subsets, organized so that
 the typical case (tiny VC dimension) stays cheap: subsets are enumerated by
 increasing size and the search stops at the first size with no witness, which
 is sound because shattering (plain and antipodal) is monotone under taking
-column subsets. Within one size, subsets are examined in lexicographic order
-by a batched numpy kernel that stops at the first batch holding a witness.
+column subsets. Within one size, subsets come from itertools.combinations in
+lexicographic order and go to a batched numpy kernel that stops at the first
+batch holding a witness. Batches double from one subset up to a cap of
+_BATCH_CELLS cells, so a witness that comes early costs at most about twice
+the subsets before it, while a long scan soon runs at full batch size.
 The kernel also takes a stack of matrices with a common shape, so that one
 pass over the subsets of a size answers for all of them (see vc_at_most).
 The budget counts work actually done: a search that has examined
@@ -15,6 +18,7 @@ SizeLimitError instead of running without bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Iterator
 
@@ -27,8 +31,10 @@ from .matrix import SignMatrix, distinct_rows, has_distinct_rows
 SUBSET_BUDGET = 2_000_000
 
 # Cells (stacked matrices x subsets x distinct rows) per batch of the
-# kernel. Each int64 temporary of a batch then takes about 1 MiB.
-_BATCH_CELLS = 1 << 17
+# kernel. Each int64 temporary of a batch then takes at most 128 KiB, which
+# malloc serves from reused heap memory; larger ones are mapped afresh for
+# each batch, and their page faults made scans up to twice as slow.
+_BATCH_CELLS = 1 << 14
 
 ColumnSet = tuple[int, ...]
 
@@ -51,20 +57,16 @@ def _bit_columns(S: SignMatrix) -> np.ndarray:
 
 
 def _subsets(m: int, k: int, size: int) -> Iterator[np.ndarray]:
-    """All k-subsets of range(m) in lexicographic order, as sorted index
-    rows, in arrays of at most `size` rows. Each chunk of (k-1)-prefixes is
-    extended by every larger column at once."""
-    if k == 0:
-        yield np.zeros((1, 0), dtype=np.intp)
-        return
-    for P in _subsets(m, k - 1, max(1, size // m)):
-        start = P[:, -1] + 1 if k > 1 else np.zeros(1, dtype=np.intp)
-        counts = m - start
-        offsets = np.cumsum(counts) - counts
-        last = np.arange(counts.sum()) + np.repeat(start - offsets, counts)
-        C = np.column_stack([np.repeat(P, counts, axis=0), last])
-        for i in range(0, len(C), size):
-            yield C[i : i + size]
+    """All k-subsets (k >= 1) of range(m) in lexicographic order, as sorted
+    index rows, in batches of 1, 2, 4, ... rows, capped at `size`. Full-size
+    batches from the start would build and test up to `size` subsets to
+    find a witness among the first few; doubling bounds that waste by the
+    subsets examined before the witness."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
+    batch = 1
+    while len(C := np.fromiter(itertools.islice(flat, batch * k), dtype=np.intp)):
+        yield C.reshape(-1, k)
+        batch = min(2 * batch, size)
 
 
 def _dense_ranks(ids: np.ndarray) -> np.ndarray:
@@ -137,11 +139,22 @@ def _batches(bits: np.ndarray, k: int) -> Iterator[np.ndarray]:
         yield C
 
 
+def _some_shattered(bits: np.ndarray, k: int, antipodal: bool) -> np.ndarray:
+    """Per matrix of the stack bits: is some k-set of its columns shattered
+    (plainly or antipodally)? The scan stops once every matrix has one."""
+    found = np.zeros(bits.shape[:-2], dtype=bool)
+    for C in _batches(bits, k):
+        found |= _covered(bits, C, antipodal).any(axis=-1)
+        if found.all():
+            break
+    return found
+
+
 def _largest_shattered(bits: np.ndarray, hi: int, antipodal: bool) -> int:
     """Largest k <= hi such that some k-set of columns is shattered (plainly
     or antipodally); by monotonicity the first size without one ends it."""
     for k in range(1, hi + 1):
-        if not any(_covered(bits, C, antipodal).any() for C in _batches(bits, k)):
+        if not _some_shattered(bits, k, antipodal):
             return k - 1
     return hi
 
@@ -185,14 +198,9 @@ def vc_at_most(bits: np.ndarray, d: int) -> np.ndarray:
     matrix has a witness, and is bounded by SUBSET_BUDGET like the others.
     """
     m, rows = bits.shape[-2:]
-    found = np.zeros(bits.shape[:-2], dtype=bool)
     if d + 1 > min(m, rows.bit_length() - 1):
-        return ~found
-    for C in _batches(bits, d + 1):
-        found |= _covered(bits, C, antipodal=False).any(axis=-1)
-        if found.all():
-            break
-    return ~found
+        return np.ones(bits.shape[:-2], dtype=bool)
+    return ~_some_shattered(bits, d + 1, antipodal=False)
 
 
 def dual_sign_rank(S: SignMatrix, vc: int | None = None) -> int:

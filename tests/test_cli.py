@@ -27,6 +27,13 @@ def test_gen_projective(tmp_path):
     assert all(l.count("+") == 4 for l in lines)
 
 
+def test_gen_projective_rejects_dimension_zero(capsys):
+    # --d 0 is given, not left out: it must not fall back to the plane
+    code, _, err = run_cli(capsys, "gen", "projective", "--p", "3", "--d", "0")
+    assert code == 2
+    assert "dimension must be at least 2" in err
+
+
 def test_gen_rejects_non_prime(capsys):
     code, _, err = run_cli(capsys, "gen", "projective", "--p", "4")
     assert code == 2

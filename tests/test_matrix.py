@@ -64,6 +64,24 @@ def test_sign_matrix_rejects_zeros_and_bad_shapes():
         SignMatrix(np.empty((0, 3)))
 
 
+def test_matrix_kinds_keep_their_messages_and_equality():
+    with pytest.raises(ValueError, match="^sign matrix entries must be \\+1 or -1$"):
+        SignMatrix([[1, 0]])
+    with pytest.raises(ValueError, match="^a sign matrix needs at least one row"):
+        SignMatrix([1, -1])
+    with pytest.raises(ValueError, match="^boolean matrix entries must be 0 or 1$"):
+        BooleanMatrix([[1, -1]])
+    with pytest.raises(ValueError, match="^a boolean matrix needs at least one row"):
+        BooleanMatrix(np.empty((2, 0)))
+    # equal entries, shapes and dtypes, but different kinds
+    assert SignMatrix.constant(2, 3, 1) != BooleanMatrix.ones(2, 3)
+    assert BooleanMatrix.ones(2, 3) != SignMatrix.constant(2, 3, 1)
+    assert BooleanMatrix.ones(2, 3) == BooleanMatrix([[1, 1, 1], [1, 1, 1]])
+    assert SignMatrix.constant(2, 3, 1) != SignMatrix.constant(3, 2, 1)
+    assert repr(SignMatrix.constant(2, 3)) == "SignMatrix(2x3)"
+    assert repr(BooleanMatrix.ones(4, 1)) == "BooleanMatrix(4x1)"
+
+
 def test_entries_are_immutable():
     S = SignMatrix([[1, -1]])
     with pytest.raises(ValueError):

@@ -248,7 +248,8 @@ def reference_welzl(S, rng):
     """The greedy with Python-int weights: the weight of a pair is the sum of
     2^e_j over the columns where it differs, e_j counting how often column j
     was crossed. Same tie order (row-major over u < v) and RNG draws as
-    welzl_path."""
+    welzl_path, and the rows in preorder of the tree from the first row of
+    the first edge, children in edge order."""
     rows = S.row_tuples()
     n, m = S.n_rows, S.n_cols
     e = [0] * m
@@ -273,10 +274,20 @@ def reference_welzl(S, rng):
         old = comp[v]
         comp = [comp[u] if c == old else c for c in comp]
         edges.append((u, v))
-    first = {}
-    for r in stabbing._euler_circuit_doubled(n, edges):
-        first.setdefault(r, len(first))
-    return edges, xs, tuple(sorted(first, key=first.get)), e
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    perm = []
+
+    def visit(r, parent):
+        perm.append(r)
+        for c in adj[r]:
+            if c != parent:
+                visit(c, r)
+
+    visit(edges[0][0], None)
+    return edges, xs, tuple(perm), e
 
 
 def oracle_instances():
@@ -307,11 +318,33 @@ def test_welzl_matches_exact_oracle():
         check_against_oracle(S, k)
 
 
+def test_welzl_preorder_takes_children_in_edge_order():
+    """Hand-built tree: row 2 differs from row 3 in column 0, from row 1 in
+    columns 1-2, and row 0 from row 3 in columns 3-5. Each greedy step has
+    one lightest pair, giving edges (2, 3), (1, 2), (0, 3) in that order.
+    Children in edge order give 2, 3, 0, 1; reversed child order would give
+    2, 1, 3, 0, breadth-first order 2, 3, 1, 0."""
+    S = SignMatrix(
+        [
+            [-1, 1, 1, -1, -1, -1],
+            [1, -1, -1, 1, 1, 1],
+            [1, 1, 1, 1, 1, 1],
+            [-1, 1, 1, 1, 1, 1],
+        ]
+    )
+    ordering, state = welzl_path(S, np.random.default_rng(0), d=2)
+    assert state.forest_edges == [(2, 3), (1, 2), (0, 3)]
+    assert ordering.permutation == (2, 3, 0, 1)
+    assert reference_welzl(S, np.random.default_rng(0))[2] == (2, 3, 0, 1)
+
+
 def test_welzl_matches_exact_oracle_past_float_limit(monkeypatch):
     """With the float64 ceiling forced low, the greedy rebases and then
-    moves to Python-int weights, and must still agree with the oracle."""
-    shifts, switches = [], []
+    moves to Python-int weights, and must still agree with the oracle;
+    ties() never offers a dead pair among the Python ints."""
+    shifts, switches, int_ties = [], [], []
     rebase, to_exact = stabbing._PairWeights._rebase, stabbing._PairWeights._to_exact
+    ties = stabbing._PairWeights.ties
 
     def spy_rebase(self):
         before = self.base
@@ -322,14 +355,39 @@ def test_welzl_matches_exact_oracle_past_float_limit(monkeypatch):
         switches.append(self.base)
         to_exact(self)
 
+    def spy_ties(self):
+        picked = ties(self)
+        if self.W.dtype == object:
+            n = len(self.W)
+            int_ties.append(picked)
+            assert all(i // n < i % n and self.W.flat[i] != np.inf for i in picked)
+        return picked
+
     monkeypatch.setattr(stabbing._PairWeights, "_rebase", spy_rebase)
     monkeypatch.setattr(stabbing._PairWeights, "_to_exact", spy_to_exact)
+    monkeypatch.setattr(stabbing._PairWeights, "ties", spy_ties)
     for limit in (2**3, 2**5, 2**8):
         monkeypatch.setattr(stabbing, "_EXACT_LIMIT", limit)
         for k, S in enumerate(oracle_instances()):
             check_against_oracle(S, k)
     assert any(shift > 0 for shift in shifts)
     assert switches
+    assert int_ties
+
+
+def test_int_pair_weights_past_float_range():
+    """Past 2^1024 a Python int no longer converts to float, so dead pairs
+    (+inf) must stay out of the integer updates."""
+    S = SignMatrix([[1, 1, 1], [1, -1, 1], [-1, -1, 1]])
+    weights = stabbing._PairWeights(S)
+    weights.kill([0], [1])
+    weights.e[:] = 1100
+    weights.total = 3 << 1100
+    weights._to_exact()
+    assert weights.double(np.array([0, 1])) == 2 / 3
+    assert weights.W[0, 1] == np.inf
+    assert (weights.W[0, 2], weights.W[1, 2]) == (1 << 1102, 1 << 1101)
+    assert weights.ties().tolist() == [5]  # the pair (1, 2)
 
 
 def test_welzl_edges_do_not_depend_on_blas_threads():

@@ -240,9 +240,11 @@ def test_max_projections_size_limit(monkeypatch):
     assert max_projections(_shattered_block(0), 1) == 2
     with pytest.raises(SizeLimitError, match="examined 10 of 64"):
         max_projections(_shattered_block(59), 1)
-    # A batch of 5 subsets ends exactly at the budget; the next one is refused.
+    # Batches of 1, 2 and 4 subsets end exactly at a budget of 7; the next
+    # one is refused.
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 7)
     monkeypatch.setattr(vc, "_BATCH_CELLS", 5 * 32)
-    with pytest.raises(SizeLimitError, match="examined 10 of 64"):
+    with pytest.raises(SizeLimitError, match="examined 7 of 64"):
         max_projections(_shattered_block(59), 1)
     # A budget that covers every subset is never exceeded, even when the
     # whole size is scanned without a witness: no 2-set of the signed
@@ -315,7 +317,7 @@ def test_kernel_matches_bruteforce():
 @pytest.mark.parametrize("cells", [1, 3, 7])
 def test_kernel_matches_bruteforce_in_tiny_batches(monkeypatch, cells):
     # A batch of a few cells holds one or two subsets, so every search
-    # crosses many batch and prefix-chunk boundaries.
+    # crosses many batch boundaries.
     monkeypatch.setattr(vc, "_BATCH_CELLS", cells)
     for S in kernel_cases():
         check_kernel_against_brute(S)
@@ -326,9 +328,17 @@ def test_subsets_in_lexicographic_chunks(size):
     for m in range(1, 8):
         for k in range(1, m + 1):
             chunks = list(vc._subsets(m, k, size))
-            assert all(1 <= len(C) <= size and C.shape[1] == k for C in chunks)
+            assert all(C.shape[1] == k for C in chunks)
             got = [tuple(row) for C in chunks for row in C.tolist()]
             assert got == list(itertools.combinations(range(m), k))
+            # batches of 1, 2, 4, ... subsets, capped at size; the last
+            # one takes what is left
+            want, left, batch = [], len(got), 1
+            while left:
+                want.append(min(batch, left))
+                left -= want[-1]
+                batch = min(2 * batch, size)
+            assert [len(C) for C in chunks] == want
 
 
 def test_pattern_ids_wider_than_a_word():
