@@ -69,8 +69,6 @@ from .stabbing import (
     RowOrdering,
     WelzlState,
     count_sign_changes,
-    doubling_update,
-    haussler_packing_limit,
     low_stabbing_order,
     sc_star_bruteforce,
     vc1_path,

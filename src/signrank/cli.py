@@ -208,41 +208,30 @@ def _cmd_analyze(args) -> int:
     return EXIT_UNCERTIFIED if report.skipped else EXIT_OK
 
 
-def _cmd_approx(args) -> int:
-    S = _load_matrix(args.input)
-    rng = np.random.default_rng(args.seed)
-    Sd = distinct_rows(S)
-    ordering, method, _ = low_stabbing_order(Sd, rng, vc_dimension(Sd))
+def _cmd_path(args) -> int:
+    """`path` lists the low-stabbing row order of the distinct rows; `approx`
+    prints its summary and the sign-rank upper bound it gives."""
+    Sd = distinct_rows(_load_matrix(args.input))
+    vc = vc_dimension(Sd)
+    ordering, method, state = low_stabbing_order(Sd, np.random.default_rng(args.seed), vc)
     doc = {
         "instance": os.path.basename(args.input),
         "method": method,
         "max_sign_changes": ordering.max_sign_changes,
-        "approx_sign_rank": ordering.max_sign_changes + 1,
     }
-    _emit(doc, args.out, args.format)
-    return EXIT_OK
-
-
-def _cmd_path(args) -> int:
-    S = _load_matrix(args.input)
-    rng = np.random.default_rng(args.seed)
-    Sd = distinct_rows(S)
-    vc = vc_dimension(Sd)
-    doc = {
-        "instance": os.path.basename(args.input),
-        "n_rows": Sd.n_rows,
-        "n_cols": Sd.n_cols,
-        "vc": vc,
-    }
-    ordering, doc["method"], state = low_stabbing_order(Sd, rng, vc)
-    if state is not None:
-        doc["x_log"] = [float(x) for x in state.x_log]
-        doc["constant_observed"] = ordering.max_sign_changes / Sd.n_rows ** (
-            1.0 - 1.0 / vc
+    if args.command == "approx":
+        doc["approx_sign_rank"] = ordering.max_sign_changes + 1
+    else:
+        doc.update(
+            n_rows=Sd.n_rows,
+            n_cols=Sd.n_cols,
+            vc=vc,
+            permutation=list(ordering.permutation),
+            sign_changes=list(ordering.sign_changes),
         )
-    doc["permutation"] = list(ordering.permutation)
-    doc["sign_changes"] = list(ordering.sign_changes)
-    doc["max_sign_changes"] = ordering.max_sign_changes
+        if state is not None:
+            doc["x_log"] = [float(x) for x in state.x_log]
+            doc["constant_observed"] = ordering.constant(vc)
     _emit(doc, args.out, args.format)
     return EXIT_OK
 
@@ -267,11 +256,10 @@ def _cmd_bounds(args) -> int:
         "degree": info.degree,
         "spectrum": {"sigma1": summary.sigma1, "sigma2": summary.sigma2},
     }
-    skipped: list[tuple[str, str]] = []
+    bounds, skipped = witness_bounds(S)
+    doc.update((_BOUNDS_KEYS[m], v) for m, v in bounds)
     if S.n_rows == S.n_cols:
         doc["star_norm_floor"] = star_norm_floor(S)
-        bounds, skipped = witness_bounds(S)
-        doc.update((_BOUNDS_KEYS[m], v) for m, v in bounds)
     if info.degree is not None:
         doc["sigma2_trace_floor"] = sigma2_trace_floor(B)
         doc["regular_upper_bound"] = regular_upper_bound(S)
@@ -301,7 +289,7 @@ def _cmd_enumerate(args) -> int:
 _COMMANDS = {
     "gen": _cmd_gen,
     "analyze": _cmd_analyze,
-    "approx": _cmd_approx,
+    "approx": _cmd_path,
     "path": _cmd_path,
     "bounds": _cmd_bounds,
     "enumerate": _cmd_enumerate,

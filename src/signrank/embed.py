@@ -254,17 +254,14 @@ def hinge_search_upper(
     return None
 
 
-def approx_sign_rank(
-    S: SignMatrix, rng: np.random.Generator | None = None, d: int | None = None
-) -> int:
+def approx_sign_rank(S: SignMatrix, rng: np.random.Generator | None = None) -> int:
     """One plus the maximum sign-change count of a low-stabbing row order of
     the distinct rows; always an upper bound on the sign rank, within a
     multiplicative O(N/log N) of it."""
     if rng is None:
         rng = np.random.default_rng(0)
     Sd = distinct_rows(S)
-    vc = vc_dimension(Sd) if d is None else int(d)
-    ordering, _, _ = low_stabbing_order(Sd, rng, vc)
+    ordering, _, _ = low_stabbing_order(Sd, rng, vc_dimension(Sd))
     return ordering.max_sign_changes + 1
 
 
@@ -296,9 +293,7 @@ def signrank_bracket(
     vc = vc_dimension(Sd)
     dual = dual_sign_rank(Sd, vc=vc)
     lower: list[tuple[str, float]] = [("dual_sign_rank", float(dual))]
-    square = S.n_rows == S.n_cols
-    info = regularity(to_boolean(S)) if square else None
-    witnessed, skipped = witness_bounds(S) if square else ([], [])
+    witnessed, skipped = witness_bounds(S)
     lower += witnessed
 
     upper: list[tuple[str, int]] = []
@@ -309,9 +304,10 @@ def signrank_bracket(
         if verify_realization(_planar_from_order(Sd, ordering), Sd):
             upper.append(("planar_embedding", 3))
     else:
-        welzl_constant = ordering.max_sign_changes / Sd.n_rows ** (1.0 - 1.0 / vc)
-    if info is not None and info.degree is not None:
-        upper.append(("regular_degree", 2 * info.degree + 1))
+        welzl_constant = ordering.constant(vc)
+    degree = regularity(to_boolean(S)).degree
+    if degree is not None:
+        upper.append(("regular_degree", 2 * degree + 1))
     upper.append(("trivial", min(Sd.n_rows, Sd.n_cols)))
 
     lo = max(1, integer_certificate(max(v for _, v in lower)))

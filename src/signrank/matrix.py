@@ -100,10 +100,6 @@ class SignMatrix(_Matrix):
     def constant(cls, n_rows: int, n_cols: int, value: int = 1) -> "SignMatrix":
         return cls(np.full((n_rows, n_cols), value, dtype=np.int8))
 
-    @classmethod
-    def from_rows(cls, rows) -> "SignMatrix":
-        return cls(np.array(list(rows), dtype=np.int8))
-
 
 class BooleanMatrix(_Matrix):
     """Immutable dense matrix with entries 0 or 1."""

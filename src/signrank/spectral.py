@@ -8,17 +8,18 @@ norm is (N/degree) sigma2(B), which is where a spectral gap pays off.
 
 Such a bound is sound only if ||W|| is an upper bound, never an estimate
 that may err low. Every witness norm therefore comes from one verifier,
-`_certified_norm`: a LAPACK estimate of sigma1 is raised until a
-floating-point Cholesky test (Rump, "Verification of positive definiteness",
-BIT 2006) proves t^2 I - W^T W positive semidefinite. A witness whose norm
-cannot be certified raises `CertificationError`, and `witness_bounds`
+`_certified_norm`, which runs when a `WitnessMatrix` is built: a LAPACK
+estimate of sigma1 is raised until a floating-point Cholesky test (Rump,
+"Verification of positive definiteness", BIT 2006) proves t^2 I - W^T W
+positive semidefinite. A witness whose norm cannot be certified is never
+built: construction raises `CertificationError`, and `witness_bounds`
 reports such a bound as skipped instead of using it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,13 +42,23 @@ class SpectrumSummary:
 
 @dataclass(frozen=True, eq=False)
 class WitnessMatrix:
-    """A real matrix W paired with a sign matrix, satisfying W*S >= 1
-    entrywise; `spectral_norm` is a certified upper bound on ||W|| (0 when
-    not yet certified)."""
+    """A real matrix W meant to satisfy W*S >= 1 entrywise for a sign matrix
+    S. `spectral_norm` is a certified upper bound on ||W||, proven by the
+    verifier when the witness is built; a norm that cannot be certified
+    raises `CertificationError` instead."""
 
     matrix: np.ndarray
     provenance: str
-    spectral_norm: float
+    spectral_norm: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        norm = _certified_norm(self.matrix)
+        if norm is None:
+            raise CertificationError(
+                f"the norm of the {self.provenance.replace('-', ' ')} could not be "
+                f"certified in {_CERTIFY_ATTEMPTS} Cholesky attempts"
+            )
+        object.__setattr__(self, "spectral_norm", norm)
 
 
 def _gamma(k: int) -> float:
@@ -98,16 +109,6 @@ def _certified_norm(W: np.ndarray) -> float | None:
     return None
 
 
-def _require_certified(W: np.ndarray, what: str) -> float:
-    norm = _certified_norm(W)
-    if norm is None:
-        raise CertificationError(
-            f"the norm of the {what} could not be certified "
-            f"in {_CERTIFY_ATTEMPTS} Cholesky attempts"
-        )
-    return norm
-
-
 def top_singular_values(M) -> SpectrumSummary:
     """sigma1 and sigma2 (0 for a single row or column) of a real matrix,
     from LAPACK's SVD. These are estimates; witness norms are certified by
@@ -130,8 +131,7 @@ def witness_feasible(W: WitnessMatrix, S: SignMatrix) -> bool:
 
 def identity_witness(S: SignMatrix) -> WitnessMatrix:
     """W = S itself; feasible since every entry has absolute value one."""
-    W = S.entries.astype(float)
-    return WitnessMatrix(W, "identity-witness", _require_certified(W, "identity witness"))
+    return WitnessMatrix(S.entries.astype(float), "identity-witness")
 
 
 def regular_witness(S: SignMatrix) -> WitnessMatrix:
@@ -150,23 +150,20 @@ def regular_witness(S: SignMatrix) -> WitnessMatrix:
     if 2 * degree > n:
         raise ValueError(f"degree {degree} exceeds half the order {n}")
     W = (n / degree) * B.entries.astype(float) - 1.0
-    witness = WitnessMatrix(W, "regular-witness", _require_certified(W, "regular witness"))
+    witness = WitnessMatrix(W, "regular-witness")
     if not witness_feasible(witness, S):
         raise AssertionError("regular witness is not feasible for S")
     return witness
 
 
 def forster_bound(S: SignMatrix, W: WitnessMatrix) -> float:
-    """N / ||W||: a lower bound on the sign rank of S for any feasible W.
-    A witness without a norm (spectral_norm <= 0) is certified here."""
+    """N / ||W||: a lower bound on the sign rank of S for any feasible W,
+    resting on the norm certified when W was built."""
     if S.n_rows != S.n_cols:
         raise ValueError("this bound needs a square matrix")
     if not witness_feasible(W, S):
         raise ValueError("witness is not feasible for this matrix")
-    norm = W.spectral_norm
-    if norm <= 0.0:
-        norm = _require_certified(W.matrix, W.provenance)
-    return S.n_rows / norm
+    return S.n_rows / W.spectral_norm
 
 
 def spectral_signrank_lower(S: SignMatrix) -> float:
@@ -178,13 +175,16 @@ def spectral_signrank_lower(S: SignMatrix) -> float:
 def witness_bounds(
     S: SignMatrix,
 ) -> tuple[list[tuple[str, float]], list[tuple[str, str]]]:
-    """The witness lower bounds of a square sign matrix, as (bounds, skipped).
+    """The witness lower bounds of a sign matrix, as (bounds, skipped); both
+    are empty unless S is square.
 
     Bounds are "forster" (identity witness) and, for a regular S with
     1 <= degree <= N/2, "spectral" (regular witness). A bound whose witness
     norm could not be certified is left out and listed in skipped as
     (method, reason).
     """
+    if S.n_rows != S.n_cols:
+        return [], []
     methods = [("forster", lambda: forster_bound(S, identity_witness(S)))]
     info = regularity(to_boolean(S))
     if info.degree is not None and 1 <= info.degree and 2 * info.degree <= S.n_rows:

@@ -17,10 +17,9 @@ and a factorial-search oracle gives the exact optimum for up to eight rows.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,15 +39,19 @@ class RowOrdering:
     sign_changes: tuple[int, ...]
     max_sign_changes: int
 
+    def constant(self, vc: int) -> float:
+        """max_sign_changes / N^(1 - 1/vc) for N rows: the constant this
+        order achieves against the N^(1 - 1/d) bound of the Welzl greedy."""
+        return self.max_sign_changes / len(self.permutation) ** (1.0 - 1.0 / vc)
+
 
 @dataclass
 class WelzlState:
     """Trace of one greedy run: final column distribution, the tree edges in
-    insertion order, final component labels, and the chosen edge weights."""
+    insertion order, and the chosen edge weights."""
 
     p: np.ndarray
     forest_edges: list[tuple[int, int]]
-    component: np.ndarray
     x_log: list[float] = field(default_factory=list)
 
 
@@ -64,27 +67,6 @@ def count_sign_changes(S: SignMatrix, perm: Sequence[int]) -> RowOrdering:
     else:
         changes = tuple(int(c) for c in (data[1:] != data[:-1]).sum(axis=0))
     return RowOrdering(perm, changes, max(changes))
-
-
-def doubling_update(
-    p: Sequence[float] | np.ndarray, crossed: Iterable[int]
-) -> tuple[np.ndarray, float]:
-    """Double the relative mass of the crossed columns.
-
-    Returns (p', x) with x the total mass of the crossed columns,
-    p'(j) = 2 p(j) / (1 + x) on crossed columns and p(j) / (1 + x) elsewhere.
-    The result sums to one whenever p does.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p must be a probability vector")
-    crossed = np.asarray(sorted(set(int(c) for c in crossed)), dtype=int)
-    if crossed.size and (crossed[0] < 0 or crossed[-1] >= p.size):
-        raise IndexError("crossed column index out of range")
-    x = float(p[crossed].sum()) if crossed.size else 0.0
-    out = p / (1.0 + x)
-    out[crossed] *= 2.0
-    return out, x
 
 
 def _int_diff_sums(X: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -174,7 +156,7 @@ class _PairWeights:
 
 
 def welzl_path(
-    S: SignMatrix, tie_rng: np.random.Generator, d: int | None = None
+    S: SignMatrix, tie_rng: np.random.Generator
 ) -> tuple[RowOrdering, WelzlState]:
     """Greedy low-stabbing row ordering.
 
@@ -190,22 +172,19 @@ def welzl_path(
     are compared exactly, so the output depends on the seed alone, not on
     the BLAS library or its thread count; memory is O(n^2) for n rows.
 
-    With d an upper bound on the VC dimension, every recorded edge weight
-    satisfies x_i <= 4e^2 (N-i)^(-1/d) and the output has at most
-    200 N^(1-1/d) sign changes in every column. The greedy itself does not
-    read d.
+    When the VC dimension is at most d, every recorded edge weight satisfies
+    x_i <= 4e^2 (N-i)^(-1/d) and the output has at most 200 N^(1-1/d) sign
+    changes in every column.
     """
     if not has_distinct_rows(S):
         raise ValueError("rows must be pairwise distinct (apply distinct_rows first)")
     n, n_cols = S.n_rows, S.n_cols
-    state = WelzlState(
-        p=np.full(n_cols, 1.0 / n_cols), forest_edges=[], component=np.arange(n)
-    )
+    state = WelzlState(p=np.full(n_cols, 1.0 / n_cols), forest_edges=[])
     if n == 1:
         return count_sign_changes(S, (0,)), state
 
     weights = _PairWeights(S)
-    comp = state.component
+    comp = np.arange(n)
     members = {i: [i] for i in range(n)}
     for _ in range(n - 1):
         ties = weights.ties()
@@ -269,7 +248,7 @@ def low_stabbing_order(
     "welzl", with its state)."""
     if vc <= 1:
         return vc1_path(S, vc), "vc1", None
-    ordering, state = welzl_path(S, rng, d=vc)
+    ordering, state = welzl_path(S, rng)
     return ordering, "welzl", state
 
 
@@ -292,13 +271,3 @@ def sc_star_bruteforce(S: SignMatrix) -> int:
     ordered = S.entries[perms]  # (n!, n, cols)
     changes = (ordered[:, 1:, :] != ordered[:, :-1, :]).sum(axis=1).max(axis=1)
     return int(changes.min())
-
-
-def haussler_packing_limit(d: int, eps: float) -> float:
-    """e (d+1) (2e/eps)^d: cap on the number of pairwise eps-separated rows
-    in a matrix of VC dimension d."""
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return math.e * (d + 1) * (2.0 * math.e / eps) ** d

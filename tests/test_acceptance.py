@@ -99,7 +99,7 @@ def test_criterion_04_welzl_guarantees():
         rng = np.random.default_rng(seed)
         for S in (grid, plane, distinct_rows(line_subset_random(3, rng))):
             d = max(vc_dimension(S), 1)
-            ordering, state = welzl_path(S, rng, d=d)
+            ordering, state = welzl_path(S, rng)
             n = S.n_rows
             for i, x in enumerate(state.x_log, start=1):
                 assert x <= 4 * math.e**2 * (n - i) ** (-1 / d) + 1e-12

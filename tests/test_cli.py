@@ -236,13 +236,35 @@ def test_tol_flag_removed(tmp_path, capsys):
 
 
 def test_approx_command(tmp_path, capsys):
-    matrix = tmp_path / "id4.txt"
-    assert main(["gen", "signed-identity", "--n", "4", "--out", str(matrix)]) == 0
-    code, out, _ = run_cli(capsys, "approx", str(matrix))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["approx_sign_rank"] == 3
-    assert doc["method"] == "vc1"
+    """approx summarizes the order that path lists, and analyze reports the
+    same order, on a VC-1 input and on a Welzl input."""
+    inputs = {
+        "vc1": ["signed-identity", "--n", "4"],
+        "welzl": ["grid", "--n", "4", "--d", "2"],
+    }
+    for method, gen in inputs.items():
+        matrix = tmp_path / f"{method}.txt"
+        assert main(["gen", *gen, "--out", str(matrix)]) == 0
+        docs = {}
+        for command in ("approx", "path", "analyze"):
+            code, out, _ = run_cli(capsys, command, str(matrix), "--seed", "3")
+            assert code == 0
+            docs[command] = json.loads(out)
+        approx, path, analyze = docs["approx"], docs["path"], docs["analyze"]
+        assert path["method"] == method
+        summary = {k: path[k] for k in ("instance", "method", "max_sign_changes")}
+        assert approx == {**summary, "approx_sign_rank": path["max_sign_changes"] + 1}
+        assert analyze["welzl"] == {
+            "max_sc": path["max_sign_changes"],
+            "constant_observed": path.get("constant_observed"),
+        }
+        assert analyze["approx_sign_rank"] == approx["approx_sign_rank"]
+    assert json.loads(run_cli(capsys, "approx", str(tmp_path / "vc1.txt"))[1]) == {
+        "instance": "vc1.txt",
+        "method": "vc1",
+        "max_sign_changes": 2,
+        "approx_sign_rank": 3,
+    }
 
 
 def test_global_flags_both_positions(tmp_path):

@@ -89,3 +89,35 @@ def test_imports_are_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}:{name}" for name, line in imported_names(tree) if name not in read]
     assert unused == []
+
+
+def parameters(node):
+    """Names of every parameter of a function definition."""
+    a = node.args
+    found = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    found += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    return found
+
+
+def test_parameters_are_read():
+    """Every parameter of every function (other than self and cls) is read
+    in its body, so knobs that change nothing do not linger."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for statement in body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{getattr(node, 'name', 'lambda')} {name}"
+                for name in parameters(node)
+                if name not in read and name not in ("self", "cls")
+            ]
+    assert unread == []

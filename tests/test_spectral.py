@@ -127,12 +127,12 @@ def test_forster_bound_examples():
 
 def test_forster_bound_rejects_infeasible_and_rectangular():
     eye = signed_identity(4)
-    bad = WitnessMatrix(np.ones((4, 4)), "custom", 4.0)
+    bad = WitnessMatrix(np.ones((4, 4)), "custom")
     with pytest.raises(ValueError):
         forster_bound(eye, bad)
     rect = SignMatrix.constant(2, 3, 1)
     with pytest.raises(ValueError):
-        forster_bound(rect, WitnessMatrix(np.ones((2, 3)), "custom", 0.0))
+        forster_bound(rect, WitnessMatrix(np.ones((2, 3)), "custom"))
 
 
 def test_integer_certificate_keeps_integral_bounds():
@@ -337,13 +337,26 @@ def test_forster_bound_below_exact_on_random_100():
     assert forster_bound(S, identity_witness(S)) <= 100 / sigma1 * (1 + 1e-12)
 
 
+def test_witness_norm_is_proven_not_given():
+    """A witness carries only the norm the verifier proved: a caller cannot
+    hand one in (a norm of 0.5 for signed_identity(8) once gave a bound of
+    16, above its sign rank of 3)."""
+    S = signed_identity(8)
+    with pytest.raises(TypeError):
+        WitnessMatrix(S.entries.astype(float), "custom", 0.5)
+    W = WitnessMatrix(S.entries.astype(float), "custom")
+    assert certifies(W.spectral_norm, W.matrix)
+    sigma1 = np.linalg.svd(W.matrix, compute_uv=False)[0]
+    assert forster_bound(S, W) <= 8 / sigma1 * (1 + 1e-12)
+
+
 def test_uncertified_bounds_are_skipped(monkeypatch):
     monkeypatch.setattr(spectral, "_certified_norm", lambda W: None)
     P = projective_incidence(3, 2)
     with pytest.raises(CertificationError):
         identity_witness(P)
     with pytest.raises(CertificationError):
-        forster_bound(P, WitnessMatrix(P.entries.astype(float), "custom", 0.0))
+        forster_bound(P, WitnessMatrix(P.entries.astype(float), "custom"))
     bounds, skipped = witness_bounds(P)
     assert bounds == []
     assert [m for m, _ in skipped] == ["forster", "spectral"]

@@ -15,9 +15,7 @@ from signrank import (
     count_sign_changes,
     disjointness,
     distinct_rows,
-    doubling_update,
     grid_hyperplane,
-    haussler_packing_limit,
     heavy_dominant_free_random,
     line_subset_random,
     low_stabbing_order,
@@ -71,31 +69,6 @@ def test_count_sign_changes_rejects_bad_permutation():
         count_sign_changes(signed_identity(3), (0, 1, 1))
 
 
-def test_doubling_update_examples():
-    p, x = doubling_update([0.25] * 4, (0, 1))
-    assert x == pytest.approx(0.5)
-    assert p.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 6, 1 / 6])
-
-    p, x = doubling_update([0.25] * 4, ())
-    assert x == 0.0
-    assert p.tolist() == [0.25] * 4
-
-    p, x = doubling_update([0.25] * 4, (0, 1, 2, 3))
-    assert x == pytest.approx(1.0)
-    assert p.tolist() == pytest.approx([0.25] * 4)
-
-
-def test_doubling_update_preserves_total_mass():
-    rng = np.random.default_rng(4)
-    p = np.full(10, 0.1)
-    for _ in range(200):
-        crossed = np.flatnonzero(rng.random(10) < 0.3)
-        p, _ = doubling_update(p, crossed)
-        assert abs(p.sum() - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        doubling_update([0.5, 0.4], ())
-
-
 def test_welzl_grid_bounds():
     G = grid_hyperplane(3, 2)
     ordering, state = welzl_path(G, np.random.default_rng(0))
@@ -115,7 +88,7 @@ def test_welzl_single_column():
 
 def test_welzl_step_weights_obey_packing_bound():
     P = projective_incidence(3, 2)
-    _, state = welzl_path(P, np.random.default_rng(5), d=2)
+    _, state = welzl_path(P, np.random.default_rng(5))
     n = 13
     for i, x in enumerate(state.x_log, start=1):
         assert x <= 4 * math.e**2 * (n - i) ** (-1 / 2) + 1e-12
@@ -232,18 +205,6 @@ def test_sc_star_limits():
         sc_star_bruteforce(SignMatrix([[1, 1], [1, 1]]))
 
 
-def test_haussler_packing_limit():
-    assert haussler_packing_limit(1, 0.5) == pytest.approx(8 * math.e**2)
-    assert haussler_packing_limit(1, 0.5) == pytest.approx(59.112, abs=5e-4)
-    assert haussler_packing_limit(0, 0.123) == pytest.approx(math.e)
-    assert haussler_packing_limit(2, 0.5) == pytest.approx(48 * math.e**3)
-    assert haussler_packing_limit(2, 0.5) == pytest.approx(964.10, abs=5e-2)
-    with pytest.raises(ValueError):
-        haussler_packing_limit(2, 0.0)
-    with pytest.raises(ValueError):
-        haussler_packing_limit(-1, 0.5)
-
-
 def reference_welzl(S, rng):
     """The greedy with Python-int weights: the weight of a pair is the sum of
     2^e_j over the columns where it differs, e_j counting how often column j
@@ -304,7 +265,7 @@ def oracle_instances():
 
 
 def check_against_oracle(S, seed):
-    ordering, state = welzl_path(S, np.random.default_rng(seed), d=2)
+    ordering, state = welzl_path(S, np.random.default_rng(seed))
     edges, xs, perm, e = reference_welzl(S, np.random.default_rng(seed))
     assert state.forest_edges == edges
     assert state.x_log == xs
@@ -332,7 +293,7 @@ def test_welzl_preorder_takes_children_in_edge_order():
             [-1, 1, 1, 1, 1, 1],
         ]
     )
-    ordering, state = welzl_path(S, np.random.default_rng(0), d=2)
+    ordering, state = welzl_path(S, np.random.default_rng(0))
     assert state.forest_edges == [(2, 3), (1, 2), (0, 3)]
     assert ordering.permutation == (2, 3, 0, 1)
     assert reference_welzl(S, np.random.default_rng(0))[2] == (2, 3, 0, 1)
@@ -396,7 +357,7 @@ def test_welzl_edges_do_not_depend_on_blas_threads():
         "import json, numpy as np\n"
         "from signrank import distinct_rows, interval_class, projective_incidence, welzl_path\n"
         "mats = [projective_incidence(5), distinct_rows(interval_class(3).matrix)]\n"
-        "edges = [welzl_path(S, np.random.default_rng(3), d=2)[1].forest_edges for S in mats]\n"
+        "edges = [welzl_path(S, np.random.default_rng(3))[1].forest_edges for S in mats]\n"
         "print(json.dumps(edges))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(stabbing.__file__)))
@@ -445,6 +406,6 @@ def test_low_stabbing_order_dispatch():
     assert (ordering, method, state) == (vc1_path(S), "vc1", None)
     G = grid_hyperplane(3, 2)
     ordering, method, state = low_stabbing_order(G, np.random.default_rng(4), 2)
-    expected, expected_state = welzl_path(G, np.random.default_rng(4), d=2)
+    expected, expected_state = welzl_path(G, np.random.default_rng(4))
     assert (ordering, method) == (expected, "welzl")
     assert state.forest_edges == expected_state.forest_edges
