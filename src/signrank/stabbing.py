@@ -29,6 +29,8 @@ from .vc import vc_dimension
 
 # Ceiling on the total pair weight kept in float64 (see _PairWeights).
 _EXACT_LIMIT = 2**52
+# Pair-weight cells per row block of a greedy update, so a block stays in cache.
+_BLOCK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -83,19 +85,35 @@ class _PairWeights:
     Column j has been crossed e_j times, so its mass is 2^e_j / sum_k 2^e_k.
     The common denominator never changes which pair is lightest, so the
     weight of a pair u < v is kept as the integer sum of 2^(e_j - base) over
-    the columns where rows u and v differ. Pairs with u >= v and pairs inside
-    one component are dead and hold +inf. While the total weight of the
-    varying columns stays at most _EXACT_LIMIT = 2^52, every partial sum of
-    an update is a multiple of 1/2 of magnitude at most 2^52, so float64
-    holds each weight exactly in any summation order. Past that, once
-    raising `base` no longer helps, W becomes an object array of Python
-    integers with +inf on dead pairs, which Python compares with any
-    integer exactly: slow, but still exact.
+    the columns where rows u and v differ. Only the upper triangle u < v of
+    W holds live weights and only its rows are updated: the lower triangle,
+    the diagonal and the pairs inside one component are dead and hold +inf.
+    `rowmin[u]` is the least weight in row u, so `ties()` scans only the
+    rows from the first to the last that hold the least weight. `kill()`
+    leaves `rowmin` stale; the greedy always calls `double()`, which
+    refreshes it, between `kill()` and the next `ties()`.
+
+    `double()` adds sum_{j crossed} w_j (1 - x_uj x_vj) / 2, with
+    w_j = 2^(e_j - base), to every pair u < v as one matrix product
+    [X_C | 1] R, where R holds the rows -w_j/2 x_j^T of the crossed columns
+    j and a last row of sum(w)/2. It runs in row blocks of the upper
+    triangle of about _BLOCK_CELLS cells, so that each block is still in
+    cache when its row minima are taken. Each term of that product is
+    +-w_j/2 or sum(w)/2, and a crossed column varies, so w_j >= 1. While the
+    total weight of the varying columns stays at most _EXACT_LIMIT = 2^52,
+    every partial sum of the product and the updated weight are multiples
+    of 1/2 of magnitude at most 2^52, so float64 holds each weight exactly
+    in any summation order. Past that, once raising `base` no longer helps,
+    W becomes an object array of Python integers with +inf on dead pairs,
+    which Python compares with any integer exactly: slow, but still exact.
     """
 
     def __init__(self, S: SignMatrix) -> None:
         n, n_cols = S.shape
         self.X = S.entries.astype(np.float64)
+        # X^T with a row of ones appended: both factors of an update are made
+        # from its rows
+        self.XT1 = np.vstack([self.X.T, np.ones(n)])
         self.e = np.zeros(n_cols, dtype=np.int64)
         self.total = n_cols  # sum_j 2^e_j, exactly
         self.base = 0
@@ -103,35 +121,47 @@ class _PairWeights:
         self.n_constant = n_cols - int(self.varying.sum())
         self.W = (n_cols - self.X @ self.X.T) / 2.0  # Hamming distances
         self.W[np.tri(n, dtype=bool)] = np.inf
+        self.rowmin = self.W.min(axis=1)
 
     def ties(self) -> np.ndarray:
         """Flat indices (row-major) of the live pairs of least weight."""
-        return np.flatnonzero(self.W == self.W.min())
+        n = len(self.W)
+        first = self.rowmin.argmin()
+        last = n - self.rowmin[::-1].argmin()
+        return np.flatnonzero(self.W[first:last] == self.rowmin[first]) + first * n
 
     def kill(self, A: list[int], B: list[int]) -> None:
         """Mark every pair between components A and B dead."""
-        self.W[np.ix_(A, B)] = np.inf
-        self.W[np.ix_(B, A)] = np.inf
+        a, b = np.array(A), np.array(B)
+        self.W[a[:, None], b] = np.inf
+        self.W[b[:, None], a] = np.inf
 
     def double(self, crossed: np.ndarray) -> float:
         """Double the crossed columns and update the pair weights. Returns
         the mass the crossed columns had before, correctly rounded."""
-        mass = sum(1 << int(k) for k in self.e[crossed])
+        mass = sum(1 << k for k in self.e[crossed].tolist())
         x = mass / self.total
         self.total += mass
         if self.W.dtype == float and self._scaled_total() > _EXACT_LIMIT:
             self._rebase()
             if self._scaled_total() > _EXACT_LIMIT:
                 self._to_exact()
-        XC = self.X[:, crossed]
         if self.W.dtype == float:
+            factor = self.XT1[np.concatenate((crossed, [len(self.e)]))]  # [X_C | 1]^T
             w = np.ldexp(1.0, self.e[crossed] - self.base)
-            self.W -= (XC * (0.5 * w)) @ XC.T
-            self.W += 0.5 * w.sum()
+            right = factor * np.concatenate((-0.5 * w, [0.5 * w.sum()]))[:, None]
+            n = len(self.W)
+            step = max(1, _BLOCK_CELLS // n)
+            for r0 in range(0, n, step):
+                block = self.W[r0 : r0 + step, r0:]
+                block += np.dot(factor[:, r0 : r0 + step].T, right[:, r0:])
+                block.min(axis=1, out=self.rowmin[r0 : r0 + step])
         else:
             # inf + int raises OverflowError past 2^1024, so dead pairs are skipped
             live = self.W != np.inf
+            XC = self.X[:, crossed]
             np.add(self.W, _int_diff_sums(XC, self.e[crossed]), out=self.W, where=live)
+            self.rowmin = self.W.min(axis=1)
         self.e[crossed] += 1
         return x
 
@@ -170,7 +200,11 @@ def welzl_path(
     circuit of the doubled tree (see the module docstring), the one whose
     circuit takes the edges at each row in edge order. Weights
     are compared exactly, so the output depends on the seed alone, not on
-    the BLAS library or its thread count; memory is O(n^2) for n rows.
+    the BLAS library or its thread count; memory is O(n^2) for n rows. Each
+    step updates only the upper triangle of the n x n pair weights, row
+    block by row block while the block is in cache, taking each row's least
+    weight on the way, and looks for ties only in the rows that hold the
+    least weight (see `_PairWeights`).
 
     When the VC dimension is at most d, every recorded edge weight satisfies
     x_i <= 4e^2 (N-i)^(-1/d) and the output has at most 200 N^(1-1/d) sign

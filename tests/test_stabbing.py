@@ -299,13 +299,35 @@ def test_welzl_preorder_takes_children_in_edge_order():
     assert reference_welzl(S, np.random.default_rng(0))[2] == (2, 3, 0, 1)
 
 
+def spy_on_ties(monkeypatch):
+    """Check every ties() answer against the ties recomputed from scratch
+    over the upper triangle, so the row-minimum shortcut loses no tie and
+    offers no dead pair; returns the kinds of W seen, one per call."""
+    ties = stabbing._PairWeights.ties
+    seen = []
+
+    def spy(self):
+        picked = ties(self)
+        n = len(self.W)
+        u, v = np.triu_indices(n, 1)
+        upper = self.W[u, v]
+        assert self.rowmin.tolist() == self.W.min(axis=1).tolist()
+        assert all(x == np.inf for x in self.W[np.tril_indices(n)])
+        assert picked.tolist() == (u * n + v)[upper == upper.min()].tolist()
+        assert all(i // n < i % n and self.W.flat[i] != np.inf for i in picked)
+        seen.append(self.W.dtype.kind)
+        return picked
+
+    monkeypatch.setattr(stabbing._PairWeights, "ties", spy)
+    return seen
+
+
 def test_welzl_matches_exact_oracle_past_float_limit(monkeypatch):
     """With the float64 ceiling forced low, the greedy rebases and then
     moves to Python-int weights, and must still agree with the oracle;
-    ties() never offers a dead pair among the Python ints."""
-    shifts, switches, int_ties = [], [], []
+    ties() offers exactly the lightest live pairs in both modes."""
+    shifts, switches = [], []
     rebase, to_exact = stabbing._PairWeights._rebase, stabbing._PairWeights._to_exact
-    ties = stabbing._PairWeights.ties
 
     def spy_rebase(self):
         before = self.base
@@ -316,24 +338,30 @@ def test_welzl_matches_exact_oracle_past_float_limit(monkeypatch):
         switches.append(self.base)
         to_exact(self)
 
-    def spy_ties(self):
-        picked = ties(self)
-        if self.W.dtype == object:
-            n = len(self.W)
-            int_ties.append(picked)
-            assert all(i // n < i % n and self.W.flat[i] != np.inf for i in picked)
-        return picked
-
     monkeypatch.setattr(stabbing._PairWeights, "_rebase", spy_rebase)
     monkeypatch.setattr(stabbing._PairWeights, "_to_exact", spy_to_exact)
-    monkeypatch.setattr(stabbing._PairWeights, "ties", spy_ties)
+    seen = spy_on_ties(monkeypatch)
     for limit in (2**3, 2**5, 2**8):
         monkeypatch.setattr(stabbing, "_EXACT_LIMIT", limit)
         for k, S in enumerate(oracle_instances()):
             check_against_oracle(S, k)
     assert any(shift > 0 for shift in shifts)
     assert switches
-    assert int_ties
+    assert {"f", "O"} <= set(seen)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 40])
+def test_welzl_matches_exact_oracle_across_blocks(monkeypatch, cells):
+    """Row blocks of a few cells split every oracle matrix; the blocked
+    update and its row minima must still give the oracle's trees, in float
+    mode and past the forced-low float64 ceilings."""
+    monkeypatch.setattr(stabbing, "_BLOCK_CELLS", cells)
+    seen = spy_on_ties(monkeypatch)
+    for limit in (stabbing._EXACT_LIMIT, 2**3, 2**5, 2**8):
+        monkeypatch.setattr(stabbing, "_EXACT_LIMIT", limit)
+        for k, S in enumerate(oracle_instances()):
+            check_against_oracle(S, k)
+    assert {"f", "O"} <= set(seen)
 
 
 def test_int_pair_weights_past_float_range():
@@ -352,11 +380,14 @@ def test_int_pair_weights_past_float_range():
 
 
 def test_welzl_edges_do_not_depend_on_blas_threads():
-    """Exact tie sets: one and two BLAS threads give the same trees."""
+    """Exact tie sets: one and two BLAS threads give the same trees, also
+    when the weight update runs in two row blocks (216 rows)."""
     code = (
         "import json, numpy as np\n"
-        "from signrank import distinct_rows, interval_class, projective_incidence, welzl_path\n"
-        "mats = [projective_incidence(5), distinct_rows(interval_class(3).matrix)]\n"
+        "from signrank import distinct_rows, grid_hyperplane, interval_class,"
+        " projective_incidence, welzl_path\n"
+        "mats = [projective_incidence(5), distinct_rows(interval_class(3).matrix),"
+        " grid_hyperplane(6, 3)]\n"
         "edges = [welzl_path(S, np.random.default_rng(3))[1].forest_edges for S in mats]\n"
         "print(json.dumps(edges))\n"
     )
