@@ -26,7 +26,6 @@ from .embed import (
 )
 from .errors import CertificationError, MatrixFormatError, SizeLimitError
 from .generators import (
-    LineOrders,
     ProjectiveSpace,
     default_line_orders,
     disjointness,

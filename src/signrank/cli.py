@@ -87,6 +87,19 @@ def _load_matrix(path: str):
     return parse_sign_matrix(text)
 
 
+# Each `gen` generator and the flags it needs.
+_GENERATORS = {
+    "signed-identity": ("n",),
+    "disjointness": ("n",),
+    "projective": ("p",),
+    "hamming-ball": ("n", "d"),
+    "grid": ("n", "d"),
+    "intervals": ("p",),
+    "line-subset": ("p",),
+    "heavy-free": ("n", "d"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="signrank",
@@ -110,19 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser(
         "gen", help="write a generated matrix in text format", parents=[common]
     )
-    gen.add_argument(
-        "generator",
-        choices=(
-            "signed-identity",
-            "disjointness",
-            "projective",
-            "hamming-ball",
-            "grid",
-            "intervals",
-            "line-subset",
-            "heavy-free",
-        ),
-    )
+    gen.add_argument("generator", choices=_GENERATORS)
     gen.add_argument("--n", type=int, default=None)
     gen.add_argument("--d", type=int, default=None)
     gen.add_argument("--p", type=int, default=None)
@@ -150,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, names: list[str]) -> None:
+def _require(args, names: tuple[str, ...]) -> None:
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
         raise ValueError(
@@ -161,33 +162,26 @@ def _require(args, names: list[str]) -> None:
 def _cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     name = args.generator
+    _require(args, _GENERATORS[name])
     if name == "signed-identity":
-        _require(args, ["n"])
         matrix = generators.signed_identity(args.n)
     elif name == "disjointness":
-        _require(args, ["n"])
         matrix = generators.disjointness(args.n)
     elif name == "projective":
-        _require(args, ["p"])
         matrix = generators.projective_incidence(args.p, 2 if args.d is None else args.d)
     elif name == "hamming-ball":
-        _require(args, ["n", "d"])
         matrix = generators.hamming_ball(args.n, args.d).matrix
     elif name == "grid":
-        _require(args, ["n", "d"])
         matrix = generators.grid_hyperplane(args.n, args.d)
     elif name == "intervals":
-        _require(args, ["p"])
         orders = None
         if args.planted:
             plane = generators.ProjectiveSpace.build(args.p, 2)
             orders = generators.planted_line_orders(plane, rng)
         matrix = generators.interval_class(args.p, orders).matrix
     elif name == "line-subset":
-        _require(args, ["p"])
         matrix = generators.line_subset_random(args.p, rng)
     else:  # heavy-free
-        _require(args, ["n", "d"])
         matrix = generators.heavy_dominant_free_random(args.n, args.d, rng)
     _write_text(matrix.to_text(), args.out)
     return EXIT_OK

@@ -25,17 +25,17 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class ProjectiveSpace:
-    """Points and hyperplanes of a projective space of prime order.
+    """Points of a projective space of prime order, stored as canonical
+    homogeneous coordinate vectors over the prime field (first nonzero
+    coordinate equal to 1) in lexicographic order.
 
-    Both sides are stored as canonical homogeneous coordinate vectors over the
-    prime field (first nonzero coordinate equal to 1), listed in lexicographic
-    order. A point lies on a hyperplane iff their dot product vanishes mod p.
+    The space is self-dual: hyperplane h has the coordinates of point h, and
+    a point lies on a hyperplane iff their dot product vanishes mod p.
     """
 
     order: int
     dim: int
     points: tuple[tuple[int, ...], ...]
-    hyperplanes: tuple[tuple[int, ...], ...]
 
     @classmethod
     def build(cls, order: int, dim: int) -> "ProjectiveSpace":
@@ -51,36 +51,19 @@ class ProjectiveSpace:
         expected = (order ** (dim + 1) - 1) // (order - 1)
         if len(pts) != expected:
             raise AssertionError(f"found {len(pts)} points, expected {expected}")
-        points = tuple(pts)
-        return cls(order, dim, points, points)
+        return cls(order, dim, tuple(pts))
 
     @property
     def n_points(self) -> int:
         return len(self.points)
 
-    def incident(self, point_index: int, hyper_index: int) -> bool:
-        p = self.points[point_index]
-        h = self.hyperplanes[hyper_index]
-        return sum(a * b for a, b in zip(p, h)) % self.order == 0
-
     def incidence_boolean(self) -> BooleanMatrix:
-        n = self.n_points
-        data = np.zeros((n, n), dtype=np.int8)
-        for i in range(n):
-            for j in range(n):
-                if self.incident(i, j):
-                    data[i, j] = 1
-        return BooleanMatrix(data)
+        P = np.array(self.points)
+        return BooleanMatrix((P @ P.T % self.order == 0).astype(np.int8))
 
     def hyperplane_points(self, hyper_index: int) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(self.n_points) if self.incident(i, hyper_index)
-        )
-
-
-def point_count(order: int, dim: int) -> int:
-    """1 + n + ... + n^dim, the number of points of the space of that order."""
-    return (order ** (dim + 1) - 1) // (order - 1)
+        P = np.array(self.points)
+        return tuple(np.flatnonzero(P @ P[hyper_index] % self.order == 0).tolist())
 
 
 def signed_identity(n: int) -> SignMatrix:
@@ -106,8 +89,9 @@ def projective_incidence(p: int, d: int = 2) -> SignMatrix:
     """Signed point-hyperplane incidence matrix of the projective space of
     prime order p and dimension d: +1 on incidence, -1 otherwise.
 
-    The boolean version is regular with degree point_count(p, d-1), and
-    B B^T = p^(d-1) I + point_count(p, d-2) J.
+    A space of dimension k has (p^(k+1) - 1)/(p - 1) points, so the boolean
+    version is regular with degree (p^d - 1)/(p - 1), and
+    B B^T = p^(d-1) I + (p^(d-1) - 1)/(p - 1) J.
     """
     space = ProjectiveSpace.build(p, d)
     return to_signed(space.incidence_boolean())
@@ -138,77 +122,64 @@ def grid_hyperplane(n: int, d: int) -> SignMatrix:
         raise ValueError("n must be at least 2")
     if d < 1:
         raise ValueError("d must be at least 1")
-    points = list(itertools.product(range(1, n + 1), repeat=d))
-    data = np.empty((len(points), d * (n - 1)), dtype=np.int8)
-    for r, pt in enumerate(points):
-        c = 0
-        for j in range(d):
-            for i in range(1, n):
-                data[r, c] = 1 if pt[j] > i else -1
-                c += 1
-    return SignMatrix(data)
+    points = np.indices((n,) * d).reshape(d, -1).T + 1
+    above = points[:, :, None] > np.arange(1, n)
+    return SignMatrix(np.where(above.reshape(len(points), -1), 1, -1))
 
 
-@dataclass(frozen=True)
-class LineOrders:
-    """One permutation of the incident point indices per projective-plane
-    line, aligned with the plane's hyperplane list."""
-
-    orders: tuple[tuple[int, ...], ...]
+def default_line_orders(plane: ProjectiveSpace) -> tuple[tuple[int, ...], ...]:
+    """The points of each line in increasing order, one tuple per line,
+    aligned with the plane's point list (its hyperplanes)."""
+    return tuple(plane.hyperplane_points(h) for h in range(plane.n_points))
 
 
-def default_line_orders(plane: ProjectiveSpace) -> LineOrders:
-    return LineOrders(
-        tuple(plane.hyperplane_points(h) for h in range(plane.n_points))
-    )
-
-
-def planted_line_orders(plane: ProjectiveSpace, rng: np.random.Generator) -> LineOrders:
+def planted_line_orders(
+    plane: ProjectiveSpace, rng: np.random.Generator
+) -> tuple[tuple[int, ...], ...]:
     """Per line, draw a random subset of its points and order the line so the
     subset forms a prefix (ascending indices inside each part)."""
     orders = []
-    for h in range(plane.n_points):
-        pts = plane.hyperplane_points(h)
+    for pts in default_line_orders(plane):
         chosen = rng.integers(0, 2, size=len(pts)).astype(bool)
-        prefix = [q for q, c in zip(pts, chosen) if c]
-        rest = [q for q, c in zip(pts, chosen) if not c]
-        orders.append(tuple(prefix + rest))
-    return LineOrders(tuple(orders))
+        orders.append(tuple(q for _, q in sorted(zip(~chosen, pts))))
+    return tuple(orders)
 
 
-def interval_class(p: int, orders: LineOrders | None = None) -> ConceptClass:
+def interval_class(
+    p: int, orders: tuple[tuple[int, ...], ...] | None = None
+) -> ConceptClass:
     """Over the projective plane of order p: the empty set, all singletons,
     and every contiguous run of length >= 2 of every ordered line, as +1/-1
     indicator vectors over the plane's points.
 
-    The class has 1 + N + C(N, 2) members with N = p^2 + p + 1.
+    `orders` holds one ordering of each line's points, aligned with
+    `default_line_orders`, which is the default. The class has
+    1 + N + C(N, 2) members with N = p^2 + p + 1.
     """
     plane = ProjectiveSpace.build(p, 2)
+    lines = default_line_orders(plane)
     if orders is None:
-        orders = default_line_orders(plane)
+        orders = lines
     n = plane.n_points
-    if len(orders.orders) != n:
+    if len(orders) != n:
         raise ValueError("need one order per line")
-    for h, order in enumerate(orders.orders):
-        if sorted(order) != sorted(plane.hyperplane_points(h)):
+    for h, order in enumerate(orders):
+        if tuple(sorted(order)) != lines[h]:
             raise ValueError(f"order for line {h} does not cover its points")
-    rows = [[-1] * n]
-    for q in range(n):
-        row = [-1] * n
-        row[q] = 1
-        rows.append(row)
-    for order in orders.orders:
-        m = len(order)
-        for start in range(m):
-            for length in range(2, m - start + 1):
-                row = [-1] * n
-                for q in order[start : start + length]:
-                    row[q] = 1
-                rows.append(row)
+    members = [(), *((q,) for q in range(n))]
+    members += [
+        order[start:stop]
+        for order in orders
+        for start in range(len(order))
+        for stop in range(start + 2, len(order) + 1)
+    ]
     expected = 1 + n + math.comb(n, 2)
-    if len(rows) != expected:
-        raise AssertionError(f"built {len(rows)} rows, expected {expected}")
-    return ConceptClass(SignMatrix(rows))
+    if len(members) != expected:
+        raise AssertionError(f"built {len(members)} rows, expected {expected}")
+    rows = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    data = np.full((len(members), n), -1, dtype=np.int8)
+    data[rows, list(itertools.chain.from_iterable(members))] = 1
+    return ConceptClass(SignMatrix(data))
 
 
 def line_subset_random(p: int, rng: np.random.Generator) -> SignMatrix:
@@ -266,6 +237,8 @@ def heavy_dominant_free_random_logged(
     ones are zeroed per occurrence. The returned log records the run so the
     ones-count accounting can be re-checked.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if d == 4 or d < 3:
         raise ValueError("supported pattern dimensions are 3 and 5 or larger")
     if d == 3:
@@ -291,7 +264,9 @@ def heavy_dominant_free_random_logged(
 
     # Upper-bound prefilter on the initial matrix: deletions only remove
     # ones, so a column set that never qualified here never will.
-    col_sets = np.array(list(itertools.combinations(range(n), width)))
+    col_sets = np.array(
+        list(itertools.combinations(range(n), width)), dtype=np.intp
+    ).reshape(-1, width)
     indicator = np.zeros((len(col_sets), n), dtype=np.int8)
     indicator[np.arange(len(col_sets))[:, None], col_sets] = 1
     weights = B @ indicator.T  # rows x subsets
@@ -302,23 +277,15 @@ def heavy_dominant_free_random_logged(
     for idx in candidates:
         cols = col_sets[idx]
         while True:
-            proj = [
-                int(sum(((B[r, c] & 1) << i) for i, c in enumerate(cols)))
-                for r in range(n)
-            ]
+            proj = (B[:, cols].astype(np.int64) << np.arange(width)).sum(axis=1).tolist()
             assignment = _dominating_assignment(proj, patterns)
             if assignment is None:
                 break
             hits += 1
             row = assignment[full_pattern_index]
-            removed = 0
-            for c in cols:
-                if B[row, c] == 1:
-                    B[row, c] = 0
-                    removed += 1
-                    if removed == deletions_per_hit:
-                        break
-            deleted += removed
+            ones = cols[B[row, cols] == 1][:deletions_per_hit]
+            B[row, ones] = 0
+            deleted += len(ones)
     log = {
         "probability": prob,
         "ones_initial": ones_initial,

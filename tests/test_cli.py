@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from signrank import parse_sign_matrix, count_sign_changes, spectral, vc
+from signrank import generators, parse_sign_matrix, count_sign_changes, spectral, vc
 from signrank.cli import main
 
 
@@ -44,6 +45,36 @@ def test_gen_missing_parameter(capsys):
     code, _, err = run_cli(capsys, "gen", "signed-identity")
     assert code == 2
     assert "--n" in err
+
+
+def _planted_intervals(p, rng):
+    plane = generators.ProjectiveSpace.build(p, 2)
+    return generators.interval_class(p, generators.planted_line_orders(plane, rng)).matrix
+
+
+# `gen` arguments, and the library call that must give the same matrix when
+# handed the generator of the same seed.
+GEN_CASES = {
+    "signed-identity": (["signed-identity", "--n", "5"], lambda rng: generators.signed_identity(5)),
+    "disjointness": (["disjointness", "--n", "3"], lambda rng: generators.disjointness(3)),
+    "projective": (["projective", "--p", "3", "--d", "3"], lambda rng: generators.projective_incidence(3, 3)),
+    "hamming-ball": (["hamming-ball", "--n", "6", "--d", "2"], lambda rng: generators.hamming_ball(6, 2).matrix),
+    "grid": (["grid", "--n", "4", "--d", "2"], lambda rng: generators.grid_hyperplane(4, 2)),
+    "intervals": (["intervals", "--p", "3"], lambda rng: generators.interval_class(3).matrix),
+    "intervals-planted": (["intervals", "--p", "3", "--planted"], lambda rng: _planted_intervals(3, rng)),
+    "line-subset": (["line-subset", "--p", "5"], lambda rng: generators.line_subset_random(5, rng)),
+    "heavy-free": (["heavy-free", "--n", "16", "--d", "3"], lambda rng: generators.heavy_dominant_free_random(16, 3, rng)),
+    # fewer columns than the pattern needs: the draw is returned as it is
+    "heavy-free-narrow": (["heavy-free", "--n", "10", "--d", "12"], lambda rng: generators.heavy_dominant_free_random(10, 12, rng)),
+}
+
+
+@pytest.mark.parametrize("case", GEN_CASES)
+def test_gen_matches_library(tmp_path, case):
+    argv, build = GEN_CASES[case]
+    out = tmp_path / "gen.txt"
+    assert main(["gen", *argv, "--seed", "5", "--out", str(out)]) == 0
+    assert parse_sign_matrix(out.read_text()) == build(np.random.default_rng(5))
 
 
 def test_analyze_signed_identity(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -182,7 +183,7 @@ def test_interval_class_planted_orders():
     again = interval_class(3, planted_line_orders(plane, np.random.default_rng(9)))
     assert C.matrix == again.matrix  # same seed, same class
     with pytest.raises(ValueError):
-        bad = default_line_orders(plane).orders[:-1]
+        bad = default_line_orders(plane)[:-1]
         interval_class(3, type(orders)(bad))
 
 
@@ -246,3 +247,41 @@ def test_heavy_dominant_free_validation():
         heavy_dominant_free_random(41, 3, rng)
     with pytest.raises(SizeLimitError):
         heavy_dominant_free_random(26, 5, rng)
+    with pytest.raises(ValueError):
+        heavy_dominant_free_random(0, 3, rng)
+
+
+@pytest.mark.parametrize("n, d", [(10, 12), (5, 5), (1, 3)])
+def test_heavy_dominant_free_without_column_sets(n, d):
+    # Fewer than d + 1 columns: no pattern can occur, so the draw is returned.
+    S, log = heavy_dominant_free_random_logged(n, d, np.random.default_rng(6))
+    draw = np.random.default_rng(6).random((n, n)) < log["probability"]
+    assert (to_boolean(S).entries == draw).all()
+    assert log["occurrences"] == log["ones_deleted"] == 0
+    assert log["ones_final"] == log["ones_initial"] == int(draw.sum())
+
+
+def _planted_interval_class_5():
+    plane = ProjectiveSpace.build(5, 2)
+    return interval_class(5, planted_line_orders(plane, np.random.default_rng(4)))
+
+
+# sha256 of `to_text()` of each instance as first released, so that a change
+# to a generator cannot silently change the instances built on it.
+PINNED = {
+    "projective-5-2": (lambda: projective_incidence(5, 2), "96cc3daf362e9b677510daa19a47f4ebe3d99ba489230c1d2d4d1697436223da"),
+    "projective-2-3": (lambda: projective_incidence(2, 3), "9b13a68ebe685d387ce0709b4a22497af5f5ea82a650c7de25a103b415f41e53"),
+    "interval-5": (lambda: interval_class(5).matrix, "fc4b217414ab3af4583ad0a138af6bcdec6b7785e4a419d3801bfb04c8b7236c"),
+    "interval-5-planted": (lambda: _planted_interval_class_5().matrix, "8a9f72d4a00f1363ac3de79547b705fd22d8aa315f5b1a34f0d9a776081ac659"),
+    "grid-6-3": (lambda: grid_hyperplane(6, 3), "126e984befb3fe9190dee832ef7af86f4f540b367f348096ef01415ea69d3952"),
+    "grid-4-3": (lambda: grid_hyperplane(4, 3), "c56329e0e8b3a32fadc543705bb94320b188ce96506686cb7bfdd84a3c86b6a7"),
+    "line-subset-5": (lambda: line_subset_random(5, np.random.default_rng(0)), "5bd68b9e0e9d6bbdd668369216240b08d9fcb30f1988a18462b8521007bec6c8"),
+    "heavy-free-16-3": (lambda: heavy_dominant_free_random(16, 3, np.random.default_rng(0)), "7b3e518567d71844868b0f07dfc8408fe5c91543654fbb363e97a6085510071b"),
+    "hamming-14-2": (lambda: hamming_ball(14, 2).matrix, "77d24eb47dcce3cc308bfee2e7be6e5cec8c399d28054cadd559b3d411cbcee9"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_generator_output_is_pinned(name):
+    build, digest = PINNED[name]
+    assert hashlib.sha256(build().to_text().encode()).hexdigest() == digest

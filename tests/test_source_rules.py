@@ -121,3 +121,27 @@ def test_parameters_are_read():
                 if name not in read and name not in ("self", "cls")
             ]
     assert unread == []
+
+
+def test_public_names_are_used():
+    """Every public top-level function or class of a module is re-exported
+    by `__init__.py`, read elsewhere in the package, or used by a test, so
+    dead public helpers do not linger."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    users = list(trees.values()) + [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+    ]
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            if not any(node.name in referenced_names(t, node) for t in users):
+                unused.append(f"{module}:{node.name}")
+    assert unused == []
