@@ -206,8 +206,8 @@ def _cmd_path(args) -> int:
     """`path` lists the low-stabbing row order of the distinct rows; `approx`
     prints its summary and the sign-rank upper bound it gives."""
     Sd = distinct_rows(_load_matrix(args.input))
-    vc = vc_dimension(Sd)
-    ordering, method, state = low_stabbing_order(Sd, np.random.default_rng(args.seed), vc)
+    vc = vc_dimension(Sd) if args.command == "path" else None
+    ordering, method, state = low_stabbing_order(Sd, np.random.default_rng(args.seed))
     doc = {
         "instance": os.path.basename(args.input),
         "method": method,

@@ -114,10 +114,9 @@ def _planar_from_order(S: SignMatrix, ordering: RowOrdering) -> PlanarRealizatio
     return PlanarRealization(points, normals, offsets)
 
 
-def embed_vc1(S: SignMatrix, vc: int | None = None) -> PlanarRealization:
-    """Embed a distinct-row matrix of VC dimension at most one in the plane
-    (`vc`, when given, is taken as the VC dimension instead of recomputing
-    it).
+def embed_vc1(S: SignMatrix) -> PlanarRealization:
+    """Embed in the plane a distinct-row matrix of VC dimension at most one,
+    or any other on which `vc1_path` succeeds.
 
     Rows map to unit-circle points at equal angles along the `vc1_path` row
     order, in which every column has at most two sign changes, and columns
@@ -125,7 +124,7 @@ def embed_vc1(S: SignMatrix, vc: int | None = None) -> PlanarRealization:
     `verify_realization` proves the signs with the rounding bound of a rank-3
     factorization.
     """
-    return _planar_from_order(S, vc1_path(S, vc))
+    return _planar_from_order(S, vc1_path(S))
 
 
 def verify_realization(
@@ -192,8 +191,8 @@ def hinge_search_upper(
     S: SignMatrix,
     k: int,
     rng: np.random.Generator,
-    restarts: int = 20,
-    max_alternations: int = 5000,
+    restarts: int = 6,
+    max_alternations: int = 400,
 ) -> FactorizationWitness | None:
     """Search for a rank-k witness by alternating least squares on the hinge
     loss sum(max(0, 1 - S * (U V^T))).
@@ -260,8 +259,7 @@ def approx_sign_rank(S: SignMatrix, rng: np.random.Generator | None = None) -> i
     multiplicative O(N/log N) of it."""
     if rng is None:
         rng = np.random.default_rng(0)
-    Sd = distinct_rows(S)
-    ordering, _, _ = low_stabbing_order(Sd, rng, vc_dimension(Sd))
+    ordering, _, _ = low_stabbing_order(distinct_rows(S), rng)
     return ordering.max_sign_changes + 1
 
 
@@ -269,21 +267,21 @@ def signrank_bracket(
     S: SignMatrix,
     rng: np.random.Generator | None = None,
     instance: str = "",
-    hinge_restarts: int = 6,
     hinge_alternations: int = 400,
 ) -> BoundReport:
     """Assemble every available certificate into a sign-rank bracket.
 
     Lower bounds: dual sign rank, plus witness bounds on square matrices
     (identity witness always; the regular witness when it applies). Upper
-    bounds: one plus the sign changes of a low-stabbing path, three when the
-    VC dimension is at most one (a planar embedding along that path's order,
-    once verified), 2*degree + 1 for regular matrices, min(rows, cols) of the
-    distinct rows (sign rank is at most rank), and any verified factorization
-    found at the current lower end. A failed factorization search never
-    moves the lower end, and a witness bound whose norm could not be
-    certified is left out and listed in `skipped`. A negative
-    `hinge_alternations` raises ValueError even when no search runs.
+    bounds: one plus the sign changes of a low-stabbing path, three when that
+    path is the VC-1 sort, as it always is at VC dimension at most one (a
+    planar embedding along its order, once verified), 2*degree + 1 for
+    regular matrices, min(rows, cols) of the distinct rows (sign rank is at
+    most rank), and any verified factorization found at the current lower
+    end. A failed factorization search never moves the lower end, and a
+    witness bound whose norm could not be certified is left out and listed
+    in `skipped`. A negative `hinge_alternations` raises ValueError even
+    when no search runs.
     """
     if hinge_alternations < 0:
         raise ValueError(_BAD_BUDGET)
@@ -298,7 +296,7 @@ def signrank_bracket(
 
     upper: list[tuple[str, int]] = []
     welzl_constant = None
-    ordering, method, _ = low_stabbing_order(Sd, rng, vc)
+    ordering, method, _ = low_stabbing_order(Sd, rng)
     upper.append((f"path_{method}", ordering.max_sign_changes + 1))
     if method == "vc1":
         if verify_realization(_planar_from_order(Sd, ordering), Sd):
@@ -313,9 +311,7 @@ def signrank_bracket(
     lo = max(1, integer_certificate(max(v for _, v in lower)))
     hi = min(v for _, v in upper)
     if lo < hi:
-        witness = hinge_search_upper(
-            Sd, lo, rng, restarts=hinge_restarts, max_alternations=hinge_alternations
-        )
+        witness = hinge_search_upper(Sd, lo, rng, max_alternations=hinge_alternations)
         if witness is not None:
             upper.append(("factorization", lo))
             hi = lo

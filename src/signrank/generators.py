@@ -16,6 +16,9 @@ from .errors import SizeLimitError
 from .matrix import BooleanMatrix, SignMatrix, to_signed
 from .vc import ConceptClass
 
+# Most points of a projective space: P @ P^T in int64 then takes 128 MiB.
+_MAX_POINTS = 4096
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -43,12 +46,14 @@ class ProjectiveSpace:
             raise ValueError(f"order {order} is not prime")
         if dim < 2:
             raise ValueError("projective dimension must be at least 2")
+        expected = (order ** (dim + 1) - 1) // (order - 1)
+        if expected > _MAX_POINTS:
+            raise SizeLimitError(f"{expected} points; at most {_MAX_POINTS} are supported")
         pts = []
         for v in itertools.product(range(order), repeat=dim + 1):
             nz = next((x for x in v if x != 0), 0)
             if nz == 1:
                 pts.append(v)
-        expected = (order ** (dim + 1) - 1) // (order - 1)
         if len(pts) != expected:
             raise AssertionError(f"found {len(pts)} points, expected {expected}")
         return cls(order, dim, tuple(pts))
@@ -262,30 +267,29 @@ def heavy_dominant_free_random_logged(
     B = (rng.random((n, n)) < prob).astype(np.int8)
     ones_initial = int(B.sum())
 
-    # Upper-bound prefilter on the initial matrix: deletions only remove
-    # ones, so a column set that never qualified here never will.
-    col_sets = np.array(
-        list(itertools.combinations(range(n), width)), dtype=np.intp
-    ).reshape(-1, width)
-    indicator = np.zeros((len(col_sets), n), dtype=np.int8)
-    indicator[np.arange(len(col_sets))[:, None], col_sets] = 1
-    weights = B @ indicator.T  # rows x subsets
-    candidates = np.flatnonzero((weights >= min_weight).sum(axis=0) >= len(patterns))
-
     hits = 0
     deleted = 0
-    for idx in candidates:
-        cols = col_sets[idx]
-        while True:
-            proj = (B[:, cols].astype(np.int64) << np.arange(width)).sum(axis=1).tolist()
-            assignment = _dominating_assignment(proj, patterns)
-            if assignment is None:
-                break
-            hits += 1
-            row = assignment[full_pattern_index]
-            ones = cols[B[row, cols] == 1][:deletions_per_hit]
-            B[row, ones] = 0
-            deleted += len(ones)
+    # Column sets in lexicographic order, 2^14 at a time, with an upper-bound
+    # prefilter: deletions only remove ones, so a set that fails it now never
+    # qualifies later.
+    combos = itertools.combinations(range(n), width)
+    while chunk := list(itertools.islice(combos, 2**14)):
+        col_sets = np.array(chunk, dtype=np.intp)
+        indicator = np.zeros((len(col_sets), n), dtype=np.int8)
+        indicator[np.arange(len(col_sets))[:, None], col_sets] = 1
+        weights = B @ indicator.T  # rows x subsets
+        qualified = (weights >= min_weight).sum(axis=0) >= len(patterns)
+        for cols in col_sets[qualified]:
+            while True:
+                proj = (B[:, cols].astype(np.int64) << np.arange(width)).sum(axis=1)
+                assignment = _dominating_assignment(proj.tolist(), patterns)
+                if assignment is None:
+                    break
+                hits += 1
+                row = assignment[full_pattern_index]
+                ones = cols[B[row, cols] == 1][:deletions_per_hit]
+                B[row, ones] = 0
+                deleted += len(ones)
     log = {
         "probability": prob,
         "ones_initial": ones_initial,

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .matrix import SignMatrix, has_distinct_rows
-from .vc import vc_dimension
 
 # Ceiling on the total pair weight kept in float64 (see _PairWeights).
 _EXACT_LIMIT = 2**52
@@ -246,24 +245,23 @@ def welzl_path(
     return count_sign_changes(S, perm), state
 
 
-def vc1_path(S: SignMatrix, vc: int | None = None) -> RowOrdering:
+def vc1_path(S: SignMatrix) -> RowOrdering:
     """Optimal row ordering, with at most two sign changes per column, of a
-    distinct-row matrix of VC dimension at most one (`vc`, when given, is
-    taken as the VC dimension instead of recomputing it).
+    distinct-row matrix of VC dimension at most one, or of any other that
+    the same sort leaves with at most two.
 
     Let r be the row farthest from row 0 and A_j the rows that differ from r
-    in column j. No column pair is shattered and r shows (r_j, r_k) on every
-    pair, so any two A_j are nested or disjoint. Sorting the rows by their
-    A_j indicators, columns ranked by decreasing |A_j|, makes each A_j one
-    run, since its rows agree on every earlier column: at most two changes.
-    If some order has one change per column, the distance from any row grows
-    towards both ends of it, so r is an end, the A_j are suffixes, and the
-    sort finds that order. A wrong `vc` shows as more than two changes.
+    in column j. At VC dimension one no column pair is shattered and r shows
+    (r_j, r_k) on every pair, so any two A_j are nested or disjoint. Sorting
+    the rows by their A_j indicators, columns ranked by decreasing |A_j|,
+    makes each A_j one run, since its rows agree on every earlier column: at
+    most two changes; more prove VC dimension >= 2 (the ValueError). If some
+    order has one change per column (so VC dimension one), the distance from
+    any row grows towards both ends of it, so r is an end, the A_j are
+    suffixes, and the sort finds that order: two changes are optimal.
     """
     if not has_distinct_rows(S):
         raise ValueError("rows must be pairwise distinct (apply distinct_rows first)")
-    if (vc_dimension(S) if vc is None else vc) > 1:
-        raise ValueError("matrix has VC dimension at least 2")
     X = S.entries
     A = X != X[(X != X[0]).sum(axis=1).argmax()]
     ranked = np.argsort(-A.sum(axis=0), kind="stable")
@@ -275,15 +273,17 @@ def vc1_path(S: SignMatrix, vc: int | None = None) -> RowOrdering:
 
 
 def low_stabbing_order(
-    S: SignMatrix, rng: np.random.Generator, vc: int
+    S: SignMatrix, rng: np.random.Generator
 ) -> tuple[RowOrdering, str, WelzlState | None]:
-    """Row ordering of a distinct-row matrix of VC dimension `vc`: the VC-1
-    constructor (method "vc1") when vc <= 1, else the Welzl greedy (method
-    "welzl", with its state)."""
-    if vc <= 1:
-        return vc1_path(S, vc), "vc1", None
-    ordering, state = welzl_path(S, rng)
-    return ordering, "welzl", state
+    """Row ordering of a distinct-row matrix: the optimal `vc1_path` sort
+    (method "vc1") when it leaves at most two sign changes per column, as it
+    does at VC dimension at most one, else the Welzl greedy (method "welzl",
+    with its state). This is the one place the two are chosen between."""
+    try:
+        return vc1_path(S), "vc1", None
+    except ValueError:  # over two changes; welzl_path rejects duplicate rows too
+        ordering, state = welzl_path(S, rng)
+        return ordering, "welzl", state
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import signrank
 from signrank import generators, parse_sign_matrix, count_sign_changes, spectral, vc
 from signrank.cli import main
 
@@ -33,6 +34,14 @@ def test_gen_projective_rejects_dimension_zero(capsys):
     code, _, err = run_cli(capsys, "gen", "projective", "--p", "3", "--d", "0")
     assert code == 2
     assert "dimension must be at least 2" in err
+
+
+def test_gen_projective_size_limit(capsys):
+    """3^41 coordinate tuples are never enumerated: the point count alone
+    exceeds the limit."""
+    code, out, err = run_cli(capsys, "gen", "projective", "--p", "3", "--d", "40")
+    assert code == 3
+    assert out == "" and "at most 4096" in err
 
 
 def test_gen_rejects_non_prime(capsys):
@@ -296,6 +305,44 @@ def test_approx_command(tmp_path, capsys):
         "max_sign_changes": 2,
         "approx_sign_rank": 3,
     }
+
+
+def test_order_layer_runs_no_vc_search(tmp_path, capsys, monkeypatch):
+    """`approx` and the planar embedding never search for shattered sets."""
+
+    def refuse(S):
+        raise AssertionError("vc_dimension was called")
+
+    for module in (signrank.cli, signrank.embed, signrank.stabbing, signrank.vc):
+        monkeypatch.setattr(module, "vc_dimension", refuse, raising=False)
+    matrix = tmp_path / "disj6.txt"
+    assert main(["gen", "disjointness", "--n", "6", "--out", str(matrix)]) == 0
+    code, out, _ = run_cli(capsys, "approx", str(matrix))
+    assert code == 0
+    assert json.loads(out)["method"] == "welzl"
+    S = generators.signed_identity(1000)
+    assert signrank.verify_realization(signrank.embed_vc1(S), S)
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds"])
+def test_text_format_mirrors_json(tmp_path, capsys, command):
+    """--format text prints one `key = value` line per report key, sorted,
+    with lists and dicts as one-line key-sorted JSON."""
+    matrix = tmp_path / "p3.txt"
+    assert main(["gen", "projective", "--p", "3", "--out", str(matrix)]) == 0
+    code, out, _ = run_cli(capsys, command, str(matrix))
+    assert code == 0
+    doc = json.loads(out)
+    code, text, _ = run_cli(capsys, command, str(matrix), "--format", "text")
+    assert code == 0
+    lines = text.splitlines()
+    assert [line.split(" = ", 1)[0] for line in lines] == sorted(doc)
+    for line in lines:
+        key, value = line.split(" = ", 1)
+        if isinstance(doc[key], (dict, list)):
+            assert value == json.dumps(doc[key], sort_keys=True)
+        else:
+            assert value == str(doc[key])
 
 
 def test_global_flags_both_positions(tmp_path):

@@ -22,7 +22,7 @@ from signrank import (
     signrank_bracket,
     verify_realization,
 )
-from testutil import random_distinct_matrix, random_vc1_matrix
+from testutil import SORTABLE_VC2, random_distinct_matrix, random_vc1_matrix
 
 
 def test_embed_signed_identity():
@@ -30,7 +30,7 @@ def test_embed_signed_identity():
     1 - cos(pi / n), the gap between a point and its arc's chord."""
     for n in (4, 64, 1000):
         S = signed_identity(n)
-        R = embed_vc1(S, 1)  # skips the VC scan of all C(n, 2) column pairs
+        R = embed_vc1(S)
         assert verify_realization(R, S)
         norms = np.linalg.norm(R.points, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-9)
@@ -49,6 +49,17 @@ def test_embed_rejects_vc2_and_duplicates():
         embed_vc1(disjointness(2))
     with pytest.raises(ValueError):
         embed_vc1(SignMatrix([[1, 1], [1, 1]]))
+
+
+def test_embed_sortable_vc2_matrix():
+    """A VC-2 matrix whose sort leaves two changes per column embeds in the
+    plane, and the bracket lists that embedding."""
+    S = SORTABLE_VC2
+    assert verify_realization(embed_vc1(S), S)
+    report = signrank_bracket(S, np.random.default_rng(0))
+    assert report.vc == 2
+    assert ("path_vc1", 3) in report.upper_bounds
+    assert ("planar_embedding", 3) in report.upper_bounds
 
 
 def test_embed_random_vc1_instances():
@@ -460,7 +471,7 @@ def test_bracket_random_instances_sane():
     rng = np.random.default_rng(33)
     for _ in range(15):
         S = random_distinct_matrix(rng, max_rows=7, max_cols=7)
-        report = signrank_bracket(S, rng, hinge_restarts=3, hinge_alternations=150)
+        report = signrank_bracket(S, rng, hinge_alternations=150)
         lo, hi = report.bracket
         assert 1 <= lo <= hi
         assert approx_sign_rank(S, np.random.default_rng(1)) >= lo
@@ -498,9 +509,9 @@ def test_approx_respects_vc1_cap():
 
 
 def test_bracket_computes_vc_once(monkeypatch):
-    """The VC-1 path and the planar embedding reuse the bracket's VC
-    dimension instead of recomputing it, and the embedding reuses the
-    bracket's VC-1 path instead of peeling again."""
+    """The bracket computes the VC dimension once, the VC-1 path computes
+    none, and the embedding reuses the bracket's VC-1 path instead of
+    sorting again."""
     from signrank import embed, stabbing, vc
 
     calls = []
@@ -513,11 +524,11 @@ def test_bracket_computes_vc_once(monkeypatch):
     paths = []
     original_path = stabbing.vc1_path
 
-    def counting_path(S, vc=None):
+    def counting_path(S):
         paths.append(S.shape)
-        return original_path(S, vc)
+        return original_path(S)
 
-    for module in (embed, stabbing, vc):
+    for module in (embed, vc):
         monkeypatch.setattr(module, "vc_dimension", counting)
     for module in (embed, stabbing):
         monkeypatch.setattr(module, "vc1_path", counting_path)

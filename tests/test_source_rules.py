@@ -145,3 +145,40 @@ def test_public_names_are_used():
             if not any(node.name in referenced_names(t, node) for t in users):
                 unused.append(f"{module}:{node.name}")
     assert unused == []
+
+
+# The package modules each module imports through `from .x import` (or
+# `from . import x`): the layering of the package.
+LAYERS = {
+    "__init__.py": {"census", "embed", "errors", "generators", "matrix", "spectral", "stabbing", "vc"},
+    "__main__.py": {"cli"},
+    "census.py": {"errors", "matrix", "vc"},
+    "cli.py": {"census", "embed", "errors", "generators", "matrix", "spectral", "stabbing", "vc"},
+    "embed.py": {"matrix", "spectral", "stabbing", "vc"},
+    "errors.py": set(),
+    "generators.py": {"errors", "matrix", "vc"},
+    "matrix.py": {"errors"},
+    "spectral.py": {"errors", "matrix"},
+    "stabbing.py": {"errors", "matrix"},
+    "vc.py": {"errors", "matrix"},
+}
+
+
+def package_imports(tree):
+    """Package modules a module imports by relative imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def test_module_layering():
+    """Each module imports exactly the package modules pinned in LAYERS, so
+    a new dependency between layers is a deliberate change. The row-order
+    layer (`stabbing`) needs no VC search."""
+    found = {
+        path.name: package_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found == LAYERS

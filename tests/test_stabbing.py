@@ -26,7 +26,12 @@ from signrank import (
     vc_dimension,
     welzl_path,
 )
-from testutil import random_distinct_matrix, random_tree_vc1_matrix, random_vc1_matrix
+from testutil import (
+    SORTABLE_VC2,
+    random_distinct_matrix,
+    random_tree_vc1_matrix,
+    random_vc1_matrix,
+)
 
 
 def brute_sc_star(S):
@@ -132,9 +137,6 @@ def test_vc1_path_examples():
     assert vc1_path(SignMatrix([[1], [-1]])).max_sign_changes == 1
     with pytest.raises(ValueError):
         vc1_path(disjointness(2))
-    # a wrong vc=1 shows as a column with more than two sign changes
-    with pytest.raises(ValueError):
-        vc1_path(disjointness(2), 1)
 
 
 def test_vc1_path_random_instances():
@@ -159,7 +161,7 @@ def test_vc1_path_is_optimal():
     # a shuffled 8-row chain, which still has an order with one change per
     # column
     shuffled = SignMatrix(chain(8)[[6, 5, 7, 2, 3, 4, 0, 1]])
-    assert vc1_path(shuffled, 1).max_sign_changes == 1
+    assert vc1_path(shuffled).max_sign_changes == 1
     rng = np.random.default_rng(15)
     for trial in range(120):
         if trial % 3 == 0:
@@ -433,10 +435,38 @@ def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_low_stabbing_order_dispatch():
     S = signed_identity(5)
-    ordering, method, state = low_stabbing_order(S, np.random.default_rng(0), 1)
+    ordering, method, state = low_stabbing_order(S, np.random.default_rng(0))
     assert (ordering, method, state) == (vc1_path(S), "vc1", None)
     G = grid_hyperplane(3, 2)
-    ordering, method, state = low_stabbing_order(G, np.random.default_rng(4), 2)
+    ordering, method, state = low_stabbing_order(G, np.random.default_rng(4))
     expected, expected_state = welzl_path(G, np.random.default_rng(4))
     assert (ordering, method) == (expected, "welzl")
     assert state.forest_edges == expected_state.forest_edges
+
+
+def test_low_stabbing_order_sorts_a_vc2_matrix():
+    """The sort, not the VC dimension, picks the VC-1 path: two changes per
+    column are optimal whatever the VC dimension."""
+    S = SORTABLE_VC2
+    assert vc_dimension(S) == 2
+    ordering, method, state = low_stabbing_order(S, np.random.default_rng(0))
+    assert (method, state) == ("vc1", None)
+    assert ordering.sign_changes == (1, 1, 1, 1, 2)
+    assert ordering == vc1_path(S)
+    assert sc_star_bruteforce(S) == 2
+
+
+def test_low_stabbing_order_vc1_method_is_optimal():
+    """Method "vc1" always reaches the optimum over all row orders, and
+    method "welzl" only runs at VC dimension 2 or more."""
+    rng = np.random.default_rng(17)
+    methods = set()
+    for _ in range(150):
+        S = random_distinct_matrix(rng, max_rows=7, max_cols=5)
+        ordering, method, _ = low_stabbing_order(S, rng)
+        methods.add(method)
+        if method == "vc1":
+            assert ordering.max_sign_changes == sc_star_bruteforce(S)
+        else:
+            assert vc_dimension(S) >= 2
+    assert methods == {"vc1", "welzl"}

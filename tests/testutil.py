@@ -60,3 +60,16 @@ def random_tree_vc1_matrix(
         data = np.hstack([data, data[:, [int(rng.integers(n_cols))]]])
     data = data * rng.choice((-1, 1), size=data.shape[1])
     return SignMatrix(data.astype(np.int8))
+
+
+# VC dimension 2, yet the `vc1_path` sort leaves at most two sign changes in
+# every column.
+SORTABLE_VC2 = SignMatrix(
+    [
+        [1, -1, -1, 1, -1],
+        [-1, 1, 1, -1, -1],
+        [1, 1, 1, 1, 1],
+        [1, 1, -1, 1, -1],
+        [-1, 1, 1, 1, 1],
+    ]
+)
