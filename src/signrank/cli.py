@@ -2,8 +2,8 @@
 reproducible JSON reports.
 
 Exit codes: 0 success, 2 input error, 3 size-limit rejection, 4 a
-certificate could not be verified and was left out (listed under `skipped`;
-the report is still written). Exit 4 is read off the report alone.
+certificate could not be verified, or `path`'s VC search was refused, and
+was left out (listed under `skipped`); exit 4 is read off the report alone.
 """
 
 from __future__ import annotations
@@ -206,7 +206,6 @@ def _cmd_path(args) -> int:
     """`path` lists the low-stabbing row order of the distinct rows; `approx`
     prints its summary and the sign-rank upper bound it gives."""
     Sd = distinct_rows(_load_matrix(args.input))
-    vc = vc_dimension(Sd) if args.command == "path" else None
     ordering, method, state = low_stabbing_order(Sd, np.random.default_rng(args.seed))
     doc = {
         "instance": os.path.basename(args.input),
@@ -219,15 +218,19 @@ def _cmd_path(args) -> int:
         doc.update(
             n_rows=Sd.n_rows,
             n_cols=Sd.n_cols,
-            vc=vc,
             permutation=list(ordering.permutation),
             sign_changes=list(ordering.sign_changes),
         )
+        try:
+            doc["vc"] = vc_dimension(Sd)
+        except SizeLimitError as exc:  # the order stands without it
+            doc["skipped"] = [{"method": "vc", "reason": str(exc)}]
         if state is not None:
             doc["x_log"] = [float(x) for x in state.x_log]
-            doc["constant_observed"] = ordering.constant(vc)
+            if "vc" in doc:
+                doc["constant_observed"] = ordering.constant(doc["vc"])
     _emit(doc, args.out, args.format)
-    return EXIT_OK
+    return EXIT_UNCERTIFIED if "skipped" in doc else EXIT_OK
 
 
 # Report keys of the witness bounds in `bounds`.

@@ -5,13 +5,15 @@ column reweighting and orders the rows by a preorder walk of the tree. That
 is the paper's shortcut of an Eulerian circuit of the doubled tree: such a
 circuit crosses each edge once in each direction, so once it enters a
 subtree it visits all of it before leaving, and its first visits form a
-preorder. Its pair weights are kept as exact integers in an n x n array and
-updated from the crossed columns alone, so ties are broken among exactly
-equal weights: the seed alone fixes the output, whatever the BLAS library or
-thread count, and memory is O(n^2) for n rows. For VC dimension one, a
-single lexicographic sort of the rows gives an optimal order, with at most
-two sign changes per column; `low_stabbing_order` picks between the two,
-and a factorial-search oracle gives the exact optimum for up to eight rows.
+preorder. Exact integer weights are kept only for candidate row pairs,
+admitted nearest first by Hamming distance while a pair at the next distance
+could still be among the lightest, and are updated from the crossed columns
+alone, so ties are broken among exactly equal weights: the seed alone fixes
+the output, whatever the BLAS library or thread count, and memory is O(n^2)
+for n rows. For VC dimension one, a single lexicographic sort of the rows
+gives an optimal order, with at most two sign changes per column;
+`low_stabbing_order` picks between the two, and a factorial-search oracle
+gives the exact optimum for up to eight rows.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .matrix import SignMatrix, has_distinct_rows
 
 # Ceiling on the total pair weight kept in float64 (see _PairWeights).
 _EXACT_LIMIT = 2**52
-# Pair-weight cells per row block of a greedy update, so a block stays in cache.
-_BLOCK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -70,118 +70,119 @@ def count_sign_changes(S: SignMatrix, perm: Sequence[int]) -> RowOrdering:
     return RowOrdering(perm, changes, max(changes))
 
 
-def _int_diff_sums(X: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Python-int matrix of sum_j 2^e_j over the columns j of the +-1 matrix
-    X where rows u and v differ."""
-    Xo = X.astype(np.int64).astype(object)
-    w = np.array([1 << int(k) for k in e], dtype=object)
-    return (w.sum() - (Xo * w) @ Xo.T) // 2
-
-
 class _PairWeights:
-    """Exact greedy weights of the live row pairs.
+    """Exact greedy weights of the candidate row pairs.
 
     Column j has been crossed e_j times, so its mass is 2^e_j / sum_k 2^e_k.
     The common denominator never changes which pair is lightest, so the
-    weight of a pair u < v is kept as the integer sum of 2^(e_j - base) over
-    the columns where rows u and v differ. Only the upper triangle u < v of
-    W holds live weights and only its rows are updated: the lower triangle,
-    the diagonal and the pairs inside one component are dead and hold +inf.
-    `rowmin[u]` is the least weight in row u, so `ties()` scans only the
-    rows from the first to the last that hold the least weight. `kill()`
-    leaves `rowmin` stale; the greedy always calls `double()`, which
-    refreshes it, between `kill()` and the next `ties()`.
+    weight of a pair u < v is kept as the integer sum of w_j = 2^(e_j - base)
+    over the columns j where rows u and v differ. Such a column varies, so
+    w_j >= 1: base is at most the least e_j of a varying column.
 
-    `double()` adds sum_{j crossed} w_j (1 - x_uj x_vj) / 2, with
-    w_j = 2^(e_j - base), to every pair u < v as one matrix product
-    [X_C | 1] R, where R holds the rows -w_j/2 x_j^T of the crossed columns
-    j and a last row of sum(w)/2. It runs in row blocks of the upper
-    triangle of about _BLOCK_CELLS cells, so that each block is still in
-    cache when its row minima are taken. Each term of that product is
-    +-w_j/2 or sum(w)/2, and a crossed column varies, so w_j >= 1. While the
-    total weight of the varying columns stays at most _EXACT_LIMIT = 2^52,
-    every partial sum of the product and the updated weight are multiples
-    of 1/2 of magnitude at most 2^52, so float64 holds each weight exactly
-    in any summation order. Past that, once raising `base` no longer helps,
-    W becomes an object array of Python integers with +inf on dead pairs,
-    which Python compares with any integer exactly: slow, but still exact.
+    Only candidate pairs carry a weight, admitted one Hamming distance h at
+    a time, nearest first, from the n x n int32 distances (one float32
+    product, exact below 2^24 columns). A pair at distance h differs in h
+    varying columns, so it weighs at least L(h), the sum of the h least w_j
+    over the varying columns, and L grows with h. `ties()` admits the next
+    level h while there is no candidate or the lightest weighs >= L(h).
+    Then a pair not yet admitted lies at a distance h' >= h and weighs at
+    least L(h') >= L(h) > the least candidate weight, so the lightest
+    candidates are exactly the lightest live pairs (rows in different
+    components); the test is not strict, so next-level pairs that tie get
+    in. `join()` drops the candidates inside the joined component.
+
+    `double()` adds w_j to the candidates that differ in each crossed column
+    j. Every partial sum and weight is an integer of magnitude at most the
+    total weight of the varying columns; while that stays at most
+    _EXACT_LIMIT = 2^52, float64 holds them exactly in any summation order.
+    Past that, once raising `base` no longer helps, the weights become
+    Python integers: slow, but still exact. L(h) is a Python integer too.
     """
 
     def __init__(self, S: SignMatrix) -> None:
-        n, n_cols = S.shape
-        self.X = S.entries.astype(np.float64)
-        # X^T with a row of ones appended: both factors of an update are made
-        # from its rows
-        self.XT1 = np.vstack([self.X.T, np.ones(n)])
+        X = S.entries
+        n, n_cols = X.shape
+        self.XT = np.ascontiguousarray(X.T)
+        self.X = X.astype(np.float64)
         self.e = np.zeros(n_cols, dtype=np.int64)
         self.total = n_cols  # sum_j 2^e_j, exactly
         self.base = 0
-        self.varying = (S.entries != S.entries[0]).any(axis=0)
-        self.n_constant = n_cols - int(self.varying.sum())
-        self.W = (n_cols - self.X @ self.X.T) / 2.0  # Hamming distances
-        self.W[np.tri(n, dtype=bool)] = np.inf
-        self.rowmin = self.W.min(axis=1)
+        self.varying = np.flatnonzero((X != X[0]).any(axis=0))
+        self.exact = False
+        Xf = X.astype(np.float32 if n_cols < 2**24 else np.float64)  # exact sums
+        self.hd = ((n_cols - Xf @ Xf.T) / 2).astype(np.int32)
+        self.hd[np.tri(n, dtype=bool)] = 0  # rows are distinct: 0 only off the upper triangle
+        present = np.zeros(n_cols + 1, dtype=bool)
+        present[self.hd] = True
+        self.levels = np.flatnonzero(present)[:0:-1].tolist()  # the distances but 0, largest first
+        self.comp = np.arange(n)
+        self.u = self.v = np.zeros(0, dtype=np.intp)  # candidate pairs u < v
+        self.w = np.zeros(0)
 
     def ties(self) -> np.ndarray:
-        """Flat indices (row-major) of the live pairs of least weight."""
-        n = len(self.W)
-        first = self.rowmin.argmin()
-        last = n - self.rowmin[::-1].argmin()
-        return np.flatnonzero(self.W[first:last] == self.rowmin[first]) + first * n
+        """Flat indices u * n + v, in increasing order, of the live pairs of
+        least weight."""
+        least = self.w.min() if len(self.w) else np.inf  # Python inf: compares with any int
+        while self.levels and self._may_tie(least, self.levels[-1]):
+            u, v = np.divmod(np.flatnonzero(self.hd == self.levels.pop()), len(self.comp))
+            live = self.comp[u] != self.comp[v]
+            self.u, self.v = np.concatenate((self.u, u[live])), np.concatenate((self.v, v[live]))
+            self.w = np.concatenate((self.w, self._diff_sums(u[live], v[live], self.varying)))
+            least = self.w.min() if len(self.w) else np.inf
+        tied = self.w == least
+        return np.sort(self.u[tied] * len(self.comp) + self.v[tied])
 
-    def kill(self, A: list[int], B: list[int]) -> None:
-        """Mark every pair between components A and B dead."""
-        a, b = np.array(A), np.array(B)
-        self.W[a[:, None], b] = np.inf
-        self.W[b[:, None], a] = np.inf
+    def join(self, u: int, v: int) -> None:
+        """Merge the components of rows u and v and drop the candidates that
+        now lie inside one component."""
+        self.comp[self.comp == self.comp[v]] = self.comp[u]
+        live = self.comp[self.u] != self.comp[self.v]
+        self.u, self.v, self.w = self.u[live], self.v[live], self.w[live]
 
     def double(self, crossed: np.ndarray) -> float:
-        """Double the crossed columns and update the pair weights. Returns
-        the mass the crossed columns had before, correctly rounded."""
+        """Double the crossed columns and update the candidate weights.
+        Returns the mass the crossed columns had before, correctly rounded."""
         mass = sum(1 << k for k in self.e[crossed].tolist())
         x = mass / self.total
         self.total += mass
-        if self.W.dtype == float and self._scaled_total() > _EXACT_LIMIT:
-            self._rebase()
+        if not self.exact and self._scaled_total() > _EXACT_LIMIT:
+            # every weight is a sum of powers 2^(e_j - base) with e_j at least
+            # the least count of a varying column, so the rescaling is exact
+            shift = int(self.e[self.varying].min()) - self.base
+            self.w *= 0.5**shift
+            self.base += shift
             if self._scaled_total() > _EXACT_LIMIT:
-                self._to_exact()
-        if self.W.dtype == float:
-            factor = self.XT1[np.concatenate((crossed, [len(self.e)]))]  # [X_C | 1]^T
-            w = np.ldexp(1.0, self.e[crossed] - self.base)
-            right = factor * np.concatenate((-0.5 * w, [0.5 * w.sum()]))[:, None]
-            n = len(self.W)
-            step = max(1, _BLOCK_CELLS // n)
-            for r0 in range(0, n, step):
-                block = self.W[r0 : r0 + step, r0:]
-                block += np.dot(factor[:, r0 : r0 + step].T, right[:, r0:])
-                block.min(axis=1, out=self.rowmin[r0 : r0 + step])
-        else:
-            # inf + int raises OverflowError past 2^1024, so dead pairs are skipped
-            live = self.W != np.inf
-            XC = self.X[:, crossed]
-            np.add(self.W, _int_diff_sums(XC, self.e[crossed]), out=self.W, where=live)
-            self.rowmin = self.W.min(axis=1)
+                self.exact = True
+                self.w = self._diff_sums(self.u, self.v, self.varying)
+        self.w += self._diff_sums(self.u, self.v, crossed)
         self.e[crossed] += 1
         return x
 
-    def _rebase(self) -> None:
-        """Raise base to the least count of a varying column. Every live
-        weight is a sum of powers of two at least that large, so the
-        rescaling is exact."""
-        shift = int(self.e[self.varying].min()) - self.base
-        self.W *= 0.5**shift
-        self.base += shift
+    def _diff_sums(self, u: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Per pair (u, v), the sum of w_j over the columns j of `cols` where
+        rows u and v differ (Python integers once exact)."""
+        shifts = self.e[cols] - self.base
+        w = (np.array([1 << k for k in shifts.tolist()], dtype=object)
+             if self.exact else np.ldexp(1.0, shifts))
+        XT, n = self.XT[cols], len(self.comp)
+        if self.exact or len(u) * len(cols) <= n * n:
+            return w @ (XT[:, u] != XT[:, v]).astype(w.dtype)
+        # fewer cells over all n^2 pairs, in BLAS; its sums are exact integers
+        XC = self.X[:, cols]
+        return (w.sum() - ((XC * w) @ XC.T)[u, v]) / 2
 
-    def _to_exact(self) -> None:
-        """Move the weights to Python integers, in units of 2^0."""
-        dead = np.isinf(self.W)
-        self.W = _int_diff_sums(self.X, self.e)
-        self.W[dead] = np.inf
+    def _may_tie(self, least, h: int) -> bool:
+        """Whether least >= L(h), the sum of the h least w_j over the varying
+        columns, as Python integers; L(h) >= h, since every w_j >= 1."""
+        if least < h:
+            return False
+        counts = np.sort(self.e[self.varying])[:h].tolist()
+        return least >= sum(1 << (k - self.base) for k in counts)
 
     def _scaled_total(self) -> int:
         """Total weight of the varying columns after this step's doubling,
         in units of 2^base (constant columns have e_j = 0)."""
-        return (self.total - self.n_constant) >> self.base
+        return (self.total - len(self.e) + len(self.varying)) >> self.base
 
 
 def welzl_path(
@@ -197,13 +198,14 @@ def welzl_path(
     tree, from the first row of the first edge, with the children of each
     row in edge order. This is the order of first visits of an Eulerian
     circuit of the doubled tree (see the module docstring), the one whose
-    circuit takes the edges at each row in edge order. Weights
-    are compared exactly, so the output depends on the seed alone, not on
-    the BLAS library or its thread count; memory is O(n^2) for n rows. Each
-    step updates only the upper triangle of the n x n pair weights, row
-    block by row block while the block is in cache, taking each row's least
-    weight on the way, and looks for ties only in the rows that hold the
-    least weight (see `_PairWeights`).
+    circuit takes the edges at each row in edge order. Weights are compared
+    exactly, so the output depends on the seed alone, not on the BLAS
+    library or its thread count. Only candidate pairs carry a weight: they
+    are admitted by Hamming distance, nearest first, while the lightest
+    candidate weighs at least the least weight a pair at the next distance
+    can have, so no pair left out can tie the lightest (see `_PairWeights`).
+    Memory is an n x n int32 distance matrix for n rows; a step costs about
+    the candidates times the crossed columns, or one n x n product if less.
 
     When the VC dimension is at most d, every recorded edge weight satisfies
     x_i <= 4e^2 (N-i)^(-1/d) and the output has at most 200 N^(1-1/d) sign
@@ -217,16 +219,10 @@ def welzl_path(
         return count_sign_changes(S, (0,)), state
 
     weights = _PairWeights(S)
-    comp = np.arange(n)
-    members = {i: [i] for i in range(n)}
     for _ in range(n - 1):
         ties = weights.ties()
-        pick = int(ties[tie_rng.integers(len(ties))])
-        u, v = divmod(pick, n)
-        A, B = members[comp[u]], members.pop(comp[v])
-        weights.kill(A, B)
-        comp[B] = comp[u]
-        A.extend(B)
+        u, v = divmod(int(ties[tie_rng.integers(len(ties))]), n)
+        weights.join(u, v)
         state.forest_edges.append((u, v))
         state.x_log.append(weights.double(np.flatnonzero(S.entries[u] != S.entries[v])))
     state.p = np.array([(1 << int(k)) / weights.total for k in weights.e])

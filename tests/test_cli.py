@@ -237,6 +237,28 @@ def test_path_command_consistent(tmp_path, capsys):
     assert len(doc["x_log"]) == S.n_rows - 1
 
 
+def test_path_reports_order_when_vc_is_refused(tmp_path, capsys, monkeypatch):
+    """A refused VC search leaves `vc` and `constant_observed` out of `path`,
+    lists the refusal under `skipped` and exits 4; the order is unchanged."""
+    matrix = tmp_path / "grid.txt"
+    assert main(["gen", "grid", "--n", "3", "--d", "2", "--out", str(matrix)]) == 0
+    code, out, _ = run_cli(capsys, "path", str(matrix), "--seed", "5")
+    assert code == 0
+    full = json.loads(out)
+
+    def refuse(S):
+        raise signrank.SizeLimitError("too many subsets")
+
+    monkeypatch.setattr(signrank.cli, "vc_dimension", refuse)
+    code, out, _ = run_cli(capsys, "path", str(matrix), "--seed", "5")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["skipped"] == [{"method": "vc", "reason": "too many subsets"}]
+    assert {k: v for k, v in full.items() if k not in ("vc", "constant_observed")} == {
+        k: v for k, v in doc.items() if k != "skipped"
+    }
+
+
 def test_bounds_command(tmp_path, capsys):
     matrix = tmp_path / "p3.txt"
     assert main(["gen", "projective", "--p", "3", "--out", str(matrix)]) == 0

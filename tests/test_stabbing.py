@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -16,7 +17,9 @@ from signrank import (
     disjointness,
     distinct_rows,
     grid_hyperplane,
+    hamming_ball,
     heavy_dominant_free_random,
+    interval_class,
     line_subset_random,
     low_stabbing_order,
     projective_incidence,
@@ -301,95 +304,178 @@ def test_welzl_preorder_takes_children_in_edge_order():
     assert reference_welzl(S, np.random.default_rng(0))[2] == (2, 3, 0, 1)
 
 
+def live_pair_weights(weights):
+    """Weight of every live pair u < v (rows in different components) of a
+    `_PairWeights`, recomputed from scratch as Python ints in units of
+    2^base: the sum of 2^(e_j - base) over the columns where u and v differ.
+    Keyed by the flat index u * n + v."""
+    X = weights.XT.T
+    n = len(X)
+    return {
+        u * n + v: sum(1 << int(weights.e[j] - weights.base) for j in np.flatnonzero(X[u] != X[v]))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if weights.comp[u] != weights.comp[v]
+    }
+
+
 def spy_on_ties(monkeypatch):
-    """Check every ties() answer against the ties recomputed from scratch
-    over the upper triangle, so the row-minimum shortcut loses no tie and
-    offers no dead pair; returns the kinds of W seen, one per call."""
+    """Check every ties() answer against the lightest pairs recomputed over
+    all live pairs, not just the candidates, and every candidate weight
+    against its recomputed value; returns one record per call: the weight
+    mode, the base, how many levels the call admitted and how many
+    candidates there were before it."""
     ties = stabbing._PairWeights.ties
-    seen = []
+    calls = []
 
     def spy(self):
+        levels, had = len(self.levels), len(self.w)
         picked = ties(self)
-        n = len(self.W)
-        u, v = np.triu_indices(n, 1)
-        upper = self.W[u, v]
-        assert self.rowmin.tolist() == self.W.min(axis=1).tolist()
-        assert all(x == np.inf for x in self.W[np.tril_indices(n)])
-        assert picked.tolist() == (u * n + v)[upper == upper.min()].tolist()
-        assert all(i // n < i % n and self.W.flat[i] != np.inf for i in picked)
-        seen.append(self.W.dtype.kind)
+        live = live_pair_weights(self)
+        least = min(live.values())
+        assert picked.tolist() == sorted(i for i, w in live.items() if w == least)
+        candidates = (self.u * len(self.comp) + self.v).tolist()
+        assert len(set(candidates)) == len(candidates)
+        assert all(live[i] == w for i, w in zip(candidates, self.w.tolist()))
+        calls.append(dict(exact=self.exact, base=self.base, admitted=levels - len(self.levels), had=had))
         return picked
 
     monkeypatch.setattr(stabbing._PairWeights, "ties", spy)
-    return seen
+    return calls
 
 
 def test_welzl_matches_exact_oracle_past_float_limit(monkeypatch):
     """With the float64 ceiling forced low, the greedy rebases and then
     moves to Python-int weights, and must still agree with the oracle;
     ties() offers exactly the lightest live pairs in both modes."""
-    shifts, switches = [], []
-    rebase, to_exact = stabbing._PairWeights._rebase, stabbing._PairWeights._to_exact
-
-    def spy_rebase(self):
-        before = self.base
-        rebase(self)
-        shifts.append(self.base - before)
-
-    def spy_to_exact(self):
-        switches.append(self.base)
-        to_exact(self)
-
-    monkeypatch.setattr(stabbing._PairWeights, "_rebase", spy_rebase)
-    monkeypatch.setattr(stabbing._PairWeights, "_to_exact", spy_to_exact)
-    seen = spy_on_ties(monkeypatch)
-    for limit in (2**3, 2**5, 2**8):
+    calls = spy_on_ties(monkeypatch)
+    for limit in (2**3, 2**5, 2**8, 2**52):
         monkeypatch.setattr(stabbing, "_EXACT_LIMIT", limit)
         for k, S in enumerate(oracle_instances()):
             check_against_oracle(S, k)
-    assert any(shift > 0 for shift in shifts)
-    assert switches
-    assert {"f", "O"} <= set(seen)
+    assert any(call["base"] > 0 for call in calls if not call["exact"])
+    assert {call["exact"] for call in calls} == {False, True}
 
 
-@pytest.mark.parametrize("cells", [1, 7, 40])
-def test_welzl_matches_exact_oracle_across_blocks(monkeypatch, cells):
-    """Row blocks of a few cells split every oracle matrix; the blocked
-    update and its row minima must still give the oracle's trees, in float
-    mode and past the forced-low float64 ceilings."""
-    monkeypatch.setattr(stabbing, "_BLOCK_CELLS", cells)
-    seen = spy_on_ties(monkeypatch)
-    for limit in (stabbing._EXACT_LIMIT, 2**3, 2**5, 2**8):
-        monkeypatch.setattr(stabbing, "_EXACT_LIMIT", limit)
-        for k, S in enumerate(oracle_instances()):
-            check_against_oracle(S, k)
-    assert {"f", "O"} <= set(seen)
+def test_welzl_matches_exact_oracle_in_both_update_paths(monkeypatch):
+    """Float weights are updated by gathering the candidates' columns, or
+    by one n x n product when that has fewer cells; both must give the
+    oracle's trees."""
+    diff_sums = stabbing._PairWeights._diff_sums
+    dense = set()
+
+    def spy(self, u, v, cols):
+        if not self.exact:
+            dense.add(len(u) * len(cols) > len(self.comp) ** 2)
+        return diff_sums(self, u, v, cols)
+
+    monkeypatch.setattr(stabbing._PairWeights, "_diff_sums", spy)
+    spy_on_ties(monkeypatch)
+    for k, S in enumerate(oracle_instances()):
+        check_against_oracle(S, k)
+    assert dense == {False, True}
+
+
+def test_welzl_admits_a_deeper_level_mid_run(monkeypatch):
+    """Rows 0-1 and 2-3 differ in column 0 alone, rows 0-2 and 1-3 in
+    columns 1-2. After the first join doubles column 0, the other distance-1
+    pair weighs 2, exactly L(2) = 1 + 1: the distance-2 pairs must be
+    admitted mid-run and tie with it."""
+    S = SignMatrix([[1, 1, 1], [-1, 1, 1], [1, -1, -1], [-1, -1, -1]])
+    calls = spy_on_ties(monkeypatch)
+    for seed in range(8):
+        check_against_oracle(S, seed)
+    assert any(call["admitted"] and call["had"] for call in calls)
+
+
+def test_welzl_projective_plane_admits_every_pair_at_once(monkeypatch):
+    """Any two lines of a projective plane differ in 2p points, so all pairs
+    lie at one distance and are candidates from the first step."""
+    calls = spy_on_ties(monkeypatch)
+    for seed in range(3):
+        check_against_oracle(projective_incidence(3), seed)
+    assert [call["admitted"] for call in calls[:12]] == [1] + [0] * 11
+    assert calls[0]["had"] == 0
+
+
+def test_welzl_admits_few_pairs_on_intervals(monkeypatch):
+    """On interval_class(3) (92 rows) the greedy admits under a tenth of the
+    4186 pairs (175 at seed 0), so a fallback to all pairs would fail here."""
+    ties = stabbing._PairWeights.ties
+    admitted = []
+
+    def spy(self):
+        had = len(self.w)
+        picked = ties(self)
+        admitted.append(max(0, len(self.w) - had))
+        return picked
+
+    monkeypatch.setattr(stabbing._PairWeights, "ties", spy)
+    S = distinct_rows(interval_class(3).matrix)
+    welzl_path(S, np.random.default_rng(0))
+    assert sum(admitted) < S.n_rows * (S.n_rows - 1) // 2 // 10
 
 
 def test_int_pair_weights_past_float_range():
-    """Past 2^1024 a Python int no longer converts to float, so dead pairs
-    (+inf) must stay out of the integer updates."""
-    S = SignMatrix([[1, 1, 1], [1, -1, 1], [-1, -1, 1]])
+    """Past 2^1024 a Python int no longer converts to float: the weights,
+    L(h) and the admission test must stay Python ints. Rows 0-1 differ in
+    column 0 (w = 2^1102), rows 0-2 in columns 1-2 (2^1100 each), so
+    L(2) = 2^1101 and the first ties() admits distance 2 as well."""
+    S = SignMatrix([[1, 1, 1], [-1, 1, 1], [1, -1, -1]])
     weights = stabbing._PairWeights(S)
-    weights.kill([0], [1])
-    weights.e[:] = 1100
-    weights.total = 3 << 1100
-    weights._to_exact()
-    assert weights.double(np.array([0, 1])) == 2 / 3
-    assert weights.W[0, 1] == np.inf
-    assert (weights.W[0, 2], weights.W[1, 2]) == (1 << 1102, 1 << 1101)
-    assert weights.ties().tolist() == [5]  # the pair (1, 2)
+    weights.exact = True
+    weights.e[:] = (1102, 1100, 1100)
+    weights.total = (1 << 1102) + (1 << 1101)
+    assert weights.ties().tolist() == [2]  # the pair (0, 2)
+    assert weights.levels == [3]
+    weights.join(0, 2)
+    assert weights.double(np.array([1, 2])) == 1 / 3
+    assert weights.w.tolist() == [1 << 1102]  # the pair (0, 1)
+    assert weights.ties().tolist() == [1]
+
+
+# sha256 of the JSON of (forest_edges, x_log, permutation) from welzl_path,
+# recorded before the candidate-pair weights replaced the dense n x n update
+GOLDEN = {
+    ("interval_class(5)", 0): "e5d54f553e1db931d812524ee25ba57bae86d6ea4807b07a722d3a1f74a6d0eb",
+    ("interval_class(5)", 11): "135572d50209213b991290e2e354329a8fff6f0bb50bc74fd298264d1da0bfb5",
+    ("grid_hyperplane(16, 2)", 0): "cd49d708a8950a65dc8b9053d3bc49621823d005eee79c65d80ccf303fab7f0a",
+    ("grid_hyperplane(16, 2)", 11): "9351479384e859a664491e2d6a55bcbf5145cf70e83b9afd7be54704f4e40e2d",
+    ("hamming_ball(14, 2)", 0): "90dcc37b5082517713970e8d58c53d474be7bc7a27f2466d7ce336b61ca0ae65",
+    ("hamming_ball(14, 2)", 11): "49d3f458612aa2713764e33b565680a35fe012f0fa81b69af945ff484b8a1bde",
+    ("distinct interval_class(3)", 0): "c5347bbed81c1aad018922f0af5bef979178bd3e14870c852ef18609df9daf7e",
+    ("distinct interval_class(3)", 11): "5f19fe9063b22b7f41799123e13d4c82f8b30c6c4a3c0adfcd954f39d3dcf44b",
+    ("grid_hyperplane(6, 3)", 0): "400b63838d2a2f8f31e4c383b416f92ce1d38355194d15e34a097594b12b07c0",
+    ("grid_hyperplane(6, 3)", 11): "915f927958b0b73ecc01fbb626be4935bae6b0097f93c02d6b2bb159532353b4",
+}
+
+
+def test_welzl_golden_outputs():
+    mats = {
+        "interval_class(5)": interval_class(5).matrix,
+        "grid_hyperplane(16, 2)": grid_hyperplane(16, 2),
+        "hamming_ball(14, 2)": hamming_ball(14, 2).matrix,
+        "distinct interval_class(3)": distinct_rows(interval_class(3).matrix),
+        "grid_hyperplane(6, 3)": grid_hyperplane(6, 3),
+    }
+    found = {}
+    for (name, seed) in GOLDEN:
+        ordering, state = welzl_path(mats[name], np.random.default_rng(seed))
+        blob = json.dumps([[list(e) for e in state.forest_edges], state.x_log, list(ordering.permutation)])
+        found[name, seed] = hashlib.sha256(blob.encode()).hexdigest()
+    assert found == GOLDEN
 
 
 def test_welzl_edges_do_not_depend_on_blas_threads():
     """Exact tie sets: one and two BLAS threads give the same trees, also
-    when the weight update runs in two row blocks (216 rows)."""
+    through the float32 Hamming product and the admission of several
+    distance levels (interval_class(5), 497 rows)."""
     code = (
         "import json, numpy as np\n"
         "from signrank import distinct_rows, grid_hyperplane, interval_class,"
         " projective_incidence, welzl_path\n"
         "mats = [projective_incidence(5), distinct_rows(interval_class(3).matrix),"
-        " grid_hyperplane(6, 3)]\n"
+        " grid_hyperplane(6, 3), interval_class(5).matrix]\n"
         "edges = [welzl_path(S, np.random.default_rng(3))[1].forest_edges for S in mats]\n"
         "print(json.dumps(edges))\n"
     )
