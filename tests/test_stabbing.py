@@ -376,6 +376,29 @@ def test_welzl_matches_exact_oracle_in_both_update_paths(monkeypatch):
     assert dense == {False, True}
 
 
+@pytest.mark.parametrize("cells", [1, 7, 40])
+def test_welzl_matches_exact_oracle_across_blocks(monkeypatch, cells):
+    """Candidate weights updated in blocks of a few candidates, each block
+    choosing the gathered or the dense update for its own size, must still
+    give the oracle's trees, in float mode and past the forced-low float64
+    ceilings: each candidate's sum depends on that pair alone."""
+    diff_sums = stabbing._PairWeights._diff_sums
+
+    def blocked(self, u, v, cols):
+        starts = range(0, len(u), cells)
+        if not starts:
+            return diff_sums(self, u, v, cols)
+        return np.concatenate([diff_sums(self, u[i:i + cells], v[i:i + cells], cols) for i in starts])
+
+    monkeypatch.setattr(stabbing._PairWeights, "_diff_sums", blocked)
+    calls = spy_on_ties(monkeypatch)
+    for limit in (stabbing._EXACT_LIMIT, 2**3, 2**5, 2**8):
+        monkeypatch.setattr(stabbing, "_EXACT_LIMIT", limit)
+        for k, S in enumerate(oracle_instances()):
+            check_against_oracle(S, k)
+    assert {call["exact"] for call in calls} == {False, True}
+
+
 def test_welzl_admits_a_deeper_level_mid_run(monkeypatch):
     """Rows 0-1 and 2-3 differ in column 0 alone, rows 0-2 and 1-3 in
     columns 1-2. After the first join doubles column 0, the other distance-1
