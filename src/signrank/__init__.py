@@ -21,6 +21,7 @@ from .embed import (
     approx_sign_rank,
     embed_vc1,
     hinge_search_upper,
+    lower_certificates,
     signrank_bracket,
     verify_realization,
 )
@@ -61,7 +62,6 @@ from .spectral import (
     spectral_signrank_lower,
     star_norm_floor,
     top_singular_values,
-    witness_bounds,
     witness_feasible,
 )
 from .stabbing import (

@@ -1,9 +1,10 @@
 """Command line front end: generate matrices, compute certificates, emit
 reproducible JSON reports.
 
-Exit codes: 0 success, 2 input error, 3 size-limit rejection, 4 a
-certificate could not be verified, or `path`'s VC search was refused, and
-was left out (listed under `skipped`); exit 4 is read off the report alone.
+Exit codes: 0 success, 2 input error, 3 size-limit rejection (a census or
+a generator too large), 4 a certificate was refused, by its verifier or its
+budget (the VC or dual search of `analyze`, `bounds` or `path`), and was
+left out (listed under `skipped`); exit 4 is read off the report alone.
 """
 
 from __future__ import annotations
@@ -18,18 +19,12 @@ import tempfile
 import numpy as np
 
 from . import census, generators
-from .embed import signrank_bracket
+from .embed import certify, lower_certificates, signrank_bracket
 from .errors import MatrixFormatError, SizeLimitError
 from .matrix import parse_sign_matrix, regularity, to_boolean, distinct_rows
-from .spectral import (
-    regular_upper_bound,
-    sigma2_trace_floor,
-    star_norm_floor,
-    top_singular_values,
-    witness_bounds,
-)
+from .spectral import regular_upper_bound, sigma2_trace_floor, star_norm_floor, top_singular_values
 from .stabbing import low_stabbing_order
-from .vc import dual_sign_rank, vc_dimension
+from .vc import vc_dimension
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -221,20 +216,23 @@ def _cmd_path(args) -> int:
             permutation=list(ordering.permutation),
             sign_changes=list(ordering.sign_changes),
         )
-        try:
-            doc["vc"] = vc_dimension(Sd)
-        except SizeLimitError as exc:  # the order stands without it
-            doc["skipped"] = [{"method": "vc", "reason": str(exc)}]
+        skipped = []  # the order stands without the VC dimension
+        vc = certify("vc", lambda: vc_dimension(Sd), skipped)
+        if vc is not None:
+            doc["vc"] = vc
         if state is not None:
             doc["x_log"] = [float(x) for x in state.x_log]
-            if "vc" in doc:
-                doc["constant_observed"] = ordering.constant(doc["vc"])
+            if vc is not None:
+                doc["constant_observed"] = ordering.constant(vc)
+        if skipped:
+            doc["skipped"] = [{"method": m, "reason": r} for m, r in skipped]
     _emit(doc, args.out, args.format)
     return EXIT_UNCERTIFIED if "skipped" in doc else EXIT_OK
 
 
-# Report keys of the witness bounds in `bounds`.
-_BOUNDS_KEYS = {"forster": "forster_identity", "spectral": "spectral_lower_bound"}
+# Report keys in `bounds` of the methods of `lower_certificates`.
+_BOUNDS_KEYS = {"vc": "vc", "dual_sign_rank": "dual", "forster": "forster_identity",
+                "spectral": "spectral_lower_bound"}
 
 
 def _cmd_bounds(args) -> int:
@@ -242,19 +240,17 @@ def _cmd_bounds(args) -> int:
     B = to_boolean(S)
     info = regularity(B)
     summary = top_singular_values(S.entries.astype(float))
-    vc = vc_dimension(S)
+    vc, dual, lower, skipped = lower_certificates(S)
     doc = {
         "instance": os.path.basename(args.input),
         "n_rows": S.n_rows,
         "n_cols": S.n_cols,
-        "vc": vc,
-        "dual": dual_sign_rank(S, vc=vc),
         "is_regular": info.degree is not None,
         "degree": info.degree,
         "spectrum": {"sigma1": summary.sigma1, "sigma2": summary.sigma2},
     }
-    bounds, skipped = witness_bounds(S)
-    doc.update((_BOUNDS_KEYS[m], v) for m, v in bounds)
+    doc.update((k, v) for k, v in (("vc", vc), ("dual", dual)) if v is not None)
+    doc.update((_BOUNDS_KEYS[m], v) for m, v in lower if m != "dual_sign_rank")
     if S.n_rows == S.n_cols:
         doc["star_norm_floor"] = star_norm_floor(S)
     if info.degree is not None:

@@ -6,8 +6,9 @@ angles on the unit circle and one chord per column realize it, which pins
 its sign rank at three or less. A numerical factorization search provides
 rank-k witnesses when it happens to find them. Every witness is proven by
 one dot-product rounding bound, a planar realization as a rank-3
-factorization, and `signrank_bracket` assembles every certificate into one
-[lower, upper] interval.
+factorization. `lower_certificates` gathers the lower bounds, leaving out
+any certificate that is refused, and `signrank_bracket` assembles every
+certificate into one [lower, upper] interval.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CertificationError, SizeLimitError
 from .matrix import SignMatrix, distinct_rows, regularity, to_boolean
-from .spectral import integer_certificate, witness_bounds
+from .spectral import forster_bound, identity_witness, integer_certificate
+from .spectral import regular_upper_bound, spectral_signrank_lower
 from .stabbing import RowOrdering, low_stabbing_order, vc1_path
 from .vc import dual_sign_rank, vc_dimension
 
@@ -57,8 +60,8 @@ class BoundReport:
     instance: str
     n_rows: int
     n_cols: int
-    vc: int
-    dual: int
+    vc: int | None  # None when the search was refused
+    dual: int | None
     lower_bounds: list[tuple[str, float]]
     upper_bounds: list[tuple[str, int]]
     bracket: tuple[int, int]
@@ -71,8 +74,6 @@ class BoundReport:
             "instance": self.instance,
             "n_rows": self.n_rows,
             "n_cols": self.n_cols,
-            "vc": self.vc,
-            "dual": self.dual,
             "lower": [{"method": m, "value": v} for m, v in self.lower_bounds],
             "upper": [{"method": m, "value": v} for m, v in self.upper_bounds],
             "bracket": list(self.bracket),
@@ -81,6 +82,7 @@ class BoundReport:
                 "constant_observed": self.welzl_constant,
             },
         }
+        doc.update((k, v) for k, v in (("vc", self.vc), ("dual", self.dual)) if v is not None)
         if self.skipped:
             doc["skipped"] = [{"method": m, "reason": r} for m, r in self.skipped]
         return doc
@@ -263,6 +265,45 @@ def approx_sign_rank(S: SignMatrix, rng: np.random.Generator | None = None) -> i
     return ordering.max_sign_changes + 1
 
 
+def certify(method: str, certificate, skipped: list[tuple[str, str]]):
+    """The value of `certificate()`, or None when it is refused: over its
+    budget (SizeLimitError) or not verified (CertificationError). A refused
+    certificate is left out of the report and listed in `skipped` as
+    (method, reason); it never aborts the report."""
+    try:
+        return certificate()
+    except (SizeLimitError, CertificationError) as exc:
+        skipped.append((method, str(exc)))
+        return None
+
+
+def lower_certificates(S: SignMatrix) -> tuple[int | None, int | None, list, list]:
+    """The lower-bound certificates of a sign matrix, as (vc, dual, lower,
+    skipped).
+
+    vc and dual are the VC dimension and dual sign rank of the distinct rows,
+    None when their search is refused. lower lists (method, value):
+    "dual_sign_rank", and on a square S "forster" (identity witness) and, for
+    a regular S with 1 <= degree <= N/2, "spectral" (regular witness). Each
+    refused certificate is listed in skipped as (method, reason) by `certify`.
+    """
+    Sd = distinct_rows(S)
+    skipped: list[tuple[str, str]] = []
+    vc = certify("vc", lambda: vc_dimension(Sd), skipped)
+    dual = certify("dual_sign_rank", lambda: dual_sign_rank(Sd, vc=vc), skipped)
+    lower = [] if dual is None else [("dual_sign_rank", float(dual))]
+    if S.n_rows == S.n_cols:
+        methods = [("forster", lambda: forster_bound(S, identity_witness(S)))]
+        degree = regularity(to_boolean(S)).degree
+        if degree and 2 * degree <= S.n_rows:
+            methods.append(("spectral", lambda: spectral_signrank_lower(S)))
+        for method, bound in methods:
+            value = certify(method, bound, skipped)
+            if value is not None:
+                lower.append((method, value))
+    return vc, dual, lower, skipped
+
+
 def signrank_bracket(
     S: SignMatrix,
     rng: np.random.Generator | None = None,
@@ -271,28 +312,22 @@ def signrank_bracket(
 ) -> BoundReport:
     """Assemble every available certificate into a sign-rank bracket.
 
-    Lower bounds: dual sign rank, plus witness bounds on square matrices
-    (identity witness always; the regular witness when it applies). Upper
-    bounds: one plus the sign changes of a low-stabbing path, three when that
-    path is the VC-1 sort, as it always is at VC dimension at most one (a
-    planar embedding along its order, once verified), 2*degree + 1 for
+    Lower bounds: those of `lower_certificates`; with none, the lower end is
+    1. Upper bounds: one plus the sign changes of a low-stabbing path, three
+    when that path is the VC-1 sort, as it always is at VC dimension at most
+    one (a planar embedding along its order, once verified), 2*degree + 1 for
     regular matrices, min(rows, cols) of the distinct rows (sign rank is at
     most rank), and any verified factorization found at the current lower
     end. A failed factorization search never moves the lower end, and a
-    witness bound whose norm could not be certified is left out and listed
-    in `skipped`. A negative `hinge_alternations` raises ValueError even
-    when no search runs.
+    refused certificate is left out and listed in `skipped`. A negative
+    `hinge_alternations` raises ValueError even when no search runs.
     """
     if hinge_alternations < 0:
         raise ValueError(_BAD_BUDGET)
     if rng is None:
         rng = np.random.default_rng(0)
     Sd = distinct_rows(S)
-    vc = vc_dimension(Sd)
-    dual = dual_sign_rank(Sd, vc=vc)
-    lower: list[tuple[str, float]] = [("dual_sign_rank", float(dual))]
-    witnessed, skipped = witness_bounds(S)
-    lower += witnessed
+    vc, dual, lower, skipped = lower_certificates(S)
 
     upper: list[tuple[str, int]] = []
     welzl_constant = None
@@ -301,14 +336,13 @@ def signrank_bracket(
     if method == "vc1":
         if verify_realization(_planar_from_order(Sd, ordering), Sd):
             upper.append(("planar_embedding", 3))
-    else:
+    elif vc is not None:
         welzl_constant = ordering.constant(vc)
-    degree = regularity(to_boolean(S)).degree
-    if degree is not None:
-        upper.append(("regular_degree", 2 * degree + 1))
+    if regularity(to_boolean(S)).degree is not None:
+        upper.append(("regular_degree", regular_upper_bound(S)))
     upper.append(("trivial", min(Sd.n_rows, Sd.n_cols)))
 
-    lo = max(1, integer_certificate(max(v for _, v in lower)))
+    lo = max(1, integer_certificate(max((v for _, v in lower), default=1)))
     hi = min(v for _, v in upper)
     if lo < hi:
         witness = hinge_search_upper(Sd, lo, rng, max_alternations=hinge_alternations)

@@ -84,14 +84,6 @@ class SignMatrix(_Matrix):
     def row_tuples(self) -> list[tuple[int, ...]]:
         return [tuple(int(v) for v in row) for row in self._data]
 
-    def submatrix(self, rows=None, cols=None) -> "SignMatrix":
-        data = self._data
-        if rows is not None:
-            data = data[np.asarray(rows, dtype=int)]
-        if cols is not None:
-            data = data[:, np.asarray(cols, dtype=int)]
-        return SignMatrix(data)
-
     def to_text(self) -> str:
         lines = ["".join("+" if v == 1 else "-" for v in row) for row in self._data]
         return "\n".join(lines) + "\n"

@@ -12,8 +12,9 @@ that may err low. Every witness norm therefore comes from one verifier,
 estimate of sigma1 is raised until a floating-point Cholesky test (Rump,
 "Verification of positive definiteness", BIT 2006) proves t^2 I - W^T W
 positive semidefinite. A witness whose norm cannot be certified is never
-built: construction raises `CertificationError`, and `witness_bounds`
-reports such a bound as skipped instead of using it.
+built: construction raises `CertificationError`, and
+`embed.lower_certificates` reports such a bound as skipped instead of using
+it.
 """
 
 from __future__ import annotations
@@ -170,33 +171,6 @@ def spectral_signrank_lower(S: SignMatrix) -> float:
     """degree / sigma2(B) for a regular sign matrix with degree <= N/2: the
     Forster bound of the regular witness."""
     return forster_bound(S, regular_witness(S))
-
-
-def witness_bounds(
-    S: SignMatrix,
-) -> tuple[list[tuple[str, float]], list[tuple[str, str]]]:
-    """The witness lower bounds of a sign matrix, as (bounds, skipped); both
-    are empty unless S is square.
-
-    Bounds are "forster" (identity witness) and, for a regular S with
-    1 <= degree <= N/2, "spectral" (regular witness). A bound whose witness
-    norm could not be certified is left out and listed in skipped as
-    (method, reason).
-    """
-    if S.n_rows != S.n_cols:
-        return [], []
-    methods = [("forster", lambda: forster_bound(S, identity_witness(S)))]
-    info = regularity(to_boolean(S))
-    if info.degree is not None and 1 <= info.degree and 2 * info.degree <= S.n_rows:
-        methods.append(("spectral", lambda: spectral_signrank_lower(S)))
-    bounds: list[tuple[str, float]] = []
-    skipped: list[tuple[str, str]] = []
-    for method, bound in methods:
-        try:
-            bounds.append((method, bound()))
-        except CertificationError as exc:
-            skipped.append((method, str(exc)))
-    return bounds, skipped
 
 
 def star_norm_floor(S: SignMatrix) -> float:

@@ -150,15 +150,6 @@ def _some_shattered(bits: np.ndarray, k: int, antipodal: bool) -> np.ndarray:
     return found
 
 
-def _largest_shattered(bits: np.ndarray, hi: int, antipodal: bool) -> int:
-    """Largest k <= hi such that some k-set of columns is shattered (plainly
-    or antipodally); by monotonicity the first size without one ends it."""
-    for k in range(1, hi + 1):
-        if not _some_shattered(bits, k, antipodal):
-            return k - 1
-    return hi
-
-
 def is_shattered(S: SignMatrix, cols: Iterable[int]) -> bool:
     """True iff every one of the 2^|cols| sign patterns occurs among the rows
     restricted to `cols`."""
@@ -186,7 +177,11 @@ def vc_dimension(S: SignMatrix) -> int:
     """
     bits = _bit_columns(S)
     m, rows = bits.shape
-    return _largest_shattered(bits, min(m, rows.bit_length() - 1), antipodal=False)
+    hi = min(m, rows.bit_length() - 1)
+    for k in range(1, hi + 1):
+        if not _some_shattered(bits, k, antipodal=False):
+            return k - 1
+    return hi
 
 
 def vc_at_most(bits: np.ndarray, d: int) -> np.ndarray:
@@ -206,16 +201,22 @@ def vc_at_most(bits: np.ndarray, d: int) -> np.ndarray:
 def dual_sign_rank(S: SignMatrix, vc: int | None = None) -> int:
     """Largest size of an antipodally shattered column set.
 
-    The answer always lies between the VC dimension and twice the VC
-    dimension plus one, and an antipodally shattered k-set needs 2^(k-1)
-    distinct rows, so the search is capped there. `vc`, when given, must be
-    vc_dimension(S); it is recomputed only when left out.
+    An antipodally shattered k-set needs 2^(k-1) distinct rows, and the
+    answer lies between the VC dimension and twice the VC dimension plus
+    one, so the search is capped at both. `vc`, when given, must be
+    vc_dimension(S). Without it no VC search runs: before an even size 2j
+    the search checks that some j-set is shattered (2j <= 2 vc + 1), and
+    stops at 2j - 1 if none is; an odd size 2j + 1 needs vc >= j, which the
+    antipodally shattered 2j-set found before it proves.
     """
-    if vc is None:
-        vc = vc_dimension(S)
     bits = _bit_columns(S)
     m, rows = bits.shape
-    return _largest_shattered(bits, min(2 * vc + 1, m, rows.bit_length()), antipodal=True)
+    hi = min(m, rows.bit_length(), m if vc is None else 2 * vc + 1)
+    for k in range(1, hi + 1):
+        over_vc = vc is None and k % 2 == 0 and not _some_shattered(bits, k // 2, antipodal=False)
+        if over_vc or not _some_shattered(bits, k, antipodal=True):
+            return k - 1
+    return hi
 
 
 def sauer_bound(n: int, d: int) -> int:

@@ -259,6 +259,83 @@ def test_path_reports_order_when_vc_is_refused(tmp_path, capsys, monkeypatch):
     }
 
 
+def refuse(S, vc=None):
+    raise signrank.SizeLimitError("too many subsets")
+
+
+def test_analyze_and_bounds_report_when_vc_is_refused(tmp_path, capsys, monkeypatch):
+    """A refused VC search no longer aborts `analyze` or `bounds`: each
+    writes its report without `vc`, lists the refusal under `skipped` and
+    exits 4. The dual, found without the VC cap, and every other key are
+    unchanged, except the Welzl constant, which needs the VC dimension."""
+    matrix = tmp_path / "p3.txt"
+    assert main(["gen", "projective", "--p", "3", "--out", str(matrix)]) == 0
+    full = {}
+    for command in ("analyze", "bounds"):
+        code, out, _ = run_cli(capsys, command, str(matrix), "--seed", "5")
+        assert code == 0
+        full[command] = json.loads(out)
+    assert full["analyze"]["welzl"]["constant_observed"] is not None
+    monkeypatch.setattr(signrank.embed, "vc_dimension", refuse)
+    for command in ("analyze", "bounds"):
+        code, out, _ = run_cli(capsys, command, str(matrix), "--seed", "5")
+        assert code == 4
+        doc = json.loads(out)
+        assert doc.pop("skipped") == [{"method": "vc", "reason": "too many subsets"}]
+        expected = {k: v for k, v in full[command].items() if k != "vc"}
+        if command == "analyze":
+            expected["welzl"] = dict(expected["welzl"], constant_observed=None)
+        assert doc == expected
+
+
+def test_refused_vc_and_dual_leave_lower_end_one(tmp_path, capsys, monkeypatch):
+    """On a non-square input with both searches refused no lower bound is
+    left: the lower end is 1, and `bounds` names the refusals by its keys."""
+    matrix = tmp_path / "grid.txt"
+    assert main(["gen", "grid", "--n", "3", "--d", "2", "--out", str(matrix)]) == 0
+    monkeypatch.setattr(signrank.embed, "vc_dimension", refuse)
+    monkeypatch.setattr(signrank.embed, "dual_sign_rank", refuse)
+    code, out, _ = run_cli(capsys, "analyze", str(matrix))
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["lower"] == [] and doc["bracket"][0] == 1
+    assert not {"vc", "dual"} & set(doc)
+    assert [s["method"] for s in doc["skipped"]] == ["vc", "dual_sign_rank"]
+    code, out, _ = run_cli(capsys, "bounds", str(matrix))
+    assert code == 4
+    doc = json.loads(out)
+    assert not {"vc", "dual"} & set(doc)
+    assert [s["method"] for s in doc["skipped"]] == ["vc", "dual"]
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        generators.projective_incidence(3),  # regular
+        generators.disjointness(3),  # square, not regular
+        generators.grid_hyperplane(4, 2),  # not square
+    ],
+)
+def test_bounds_and_analyze_agree(tmp_path, capsys, S):
+    """`bounds` and `analyze` read the same lower certificates."""
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(S.to_text())
+    docs = {}
+    for command in ("analyze", "bounds"):
+        code, out, _ = run_cli(capsys, command, str(matrix))
+        assert code == 0
+        docs[command] = json.loads(out)
+    analyze, bounds = docs["analyze"], docs["bounds"]
+    lower = {b["method"]: b["value"] for b in analyze["lower"]}
+    assert (bounds["vc"], bounds["dual"]) == (analyze["vc"], analyze["dual"])
+    assert lower.pop("dual_sign_rank") == bounds["dual"]
+    keys = {"forster": "forster_identity", "spectral": "spectral_lower_bound"}
+    assert {keys[m]: v for m, v in lower.items()} == {
+        k: bounds[k] for k in keys.values() if k in bounds
+    }
+    assert len(lower) == (S.n_rows == S.n_cols) + bounds["is_regular"]
+
+
 def test_bounds_command(tmp_path, capsys):
     matrix = tmp_path / "p3.txt"
     assert main(["gen", "projective", "--p", "3", "--out", str(matrix)]) == 0

@@ -154,7 +154,7 @@ LAYERS = {
     "__main__.py": {"cli"},
     "census.py": {"errors", "matrix", "vc"},
     "cli.py": {"census", "embed", "errors", "generators", "matrix", "spectral", "stabbing", "vc"},
-    "embed.py": {"matrix", "spectral", "stabbing", "vc"},
+    "embed.py": {"errors", "matrix", "spectral", "stabbing", "vc"},
     "errors.py": set(),
     "generators.py": {"errors", "matrix", "vc"},
     "matrix.py": {"errors"},

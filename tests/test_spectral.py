@@ -15,6 +15,7 @@ from signrank import (
     forster_bound,
     identity_witness,
     integer_certificate,
+    lower_certificates,
     projective_incidence,
     regular_upper_bound,
     regular_witness,
@@ -25,7 +26,6 @@ from signrank import (
     to_boolean,
     to_signed,
     top_singular_values,
-    witness_bounds,
     witness_feasible,
 )
 from testutil import random_sign_matrix
@@ -357,8 +357,8 @@ def test_uncertified_bounds_are_skipped(monkeypatch):
         identity_witness(P)
     with pytest.raises(CertificationError):
         forster_bound(P, WitnessMatrix(P.entries.astype(float), "custom"))
-    bounds, skipped = witness_bounds(P)
-    assert bounds == []
+    _, _, lower, skipped = lower_certificates(P)
+    assert lower == [("dual_sign_rank", 4.0)]  # no witness bound
     assert [m for m, _ in skipped] == ["forster", "spectral"]
     report = signrank_bracket(P, np.random.default_rng(0))
     assert [m for m, _ in report.lower_bounds] == ["dual_sign_rank"]
@@ -369,11 +369,11 @@ def test_uncertified_bounds_are_skipped(monkeypatch):
 
 def test_witness_bounds_match_direct_calls():
     P = projective_incidence(3, 2)
-    bounds, skipped = witness_bounds(P)
+    _, _, lower, skipped = lower_certificates(P)
     assert skipped == []
-    assert bounds == [
+    assert lower[1:] == [
         ("forster", forster_bound(P, identity_witness(P))),
         ("spectral", spectral_signrank_lower(P)),
     ]
-    bounds, _ = witness_bounds(disjointness(3))  # not regular
-    assert [m for m, _ in bounds] == ["forster"]
+    _, _, lower, _ = lower_certificates(disjointness(3))  # not regular
+    assert [m for m, _ in lower] == ["dual_sign_rank", "forster"]

@@ -163,6 +163,29 @@ def test_max_projections_respects_sauer():
             assert max_projections(S, t) <= sauer_bound(t, min(d, t))
 
 
+def test_dual_sign_rank_runs_no_vc_search(monkeypatch):
+    """Without `vc` the dual search runs no VC search, and its value equals
+    the VC-capped one. On signed_identity(100) (dual 3 = 2 vc + 1) the
+    search must stop before size 4, whose C(100, 4) subsets hold no witness
+    and exceed the budget; on disjointness(6), whose VC search is refused,
+    it finds the antipodally shattered 7-set."""
+    rng = np.random.default_rng(31)
+    cases = [disjointness(3), hamming_ball(6, 1).matrix, projective_incidence(3)]
+    cases += [signed_identity(100), grid_hyperplane(4, 2)]
+    for _ in range(30):
+        cases.append(random_sign_matrix(rng, int(rng.integers(1, 11)), int(rng.integers(1, 8))))
+    original = vc.vc_dimension
+    calls = []
+    monkeypatch.setattr(vc, "vc_dimension", lambda S: calls.append(S) or original(S))
+    for S in cases:
+        calls.clear()
+        dual = dual_sign_rank(S)
+        assert calls == []
+        assert dual == dual_sign_rank(S, vc=original(S))
+    assert dual_sign_rank(disjointness(6)) == 7
+    assert calls == []
+
+
 def test_sandwich_property():
     rng = np.random.default_rng(17)
     for _ in range(60):
@@ -180,7 +203,7 @@ def test_monotone_under_row_removal():
             continue
         drop = int(rng.integers(0, S.n_rows))
         keep = [i for i in range(S.n_rows) if i != drop]
-        T = S.submatrix(rows=keep)
+        T = SignMatrix(S.entries[keep])
         assert vc_dimension(T) <= vc_dimension(S)
         assert dual_sign_rank(T) <= dual_sign_rank(S)
 
