@@ -1,19 +1,23 @@
 """Exact shattering combinatorics on sign matrices.
 
-Everything here is exhaustive search over column subsets, organized so that
-the typical case (tiny VC dimension) stays cheap: subsets are enumerated by
-increasing size and the search stops at the first size with no witness, which
-is sound because shattering (plain and antipodal) is monotone under taking
-column subsets. Within one size, subsets come from itertools.combinations in
+Every answer here is exact, and the search is organized so that the typical
+case (tiny VC dimension) stays cheap: subsets are enumerated by increasing
+size and the search stops at the first size with no witness, which is sound
+because shattering (plain and antipodal) is monotone under taking column
+subsets. Within one size, subsets come from itertools.combinations in
 lexicographic order and go to a batched numpy kernel that stops at the first
 batch holding a witness. Batches double from one subset up to a cap of
 _BATCH_CELLS cells, so a witness that comes early costs at most about twice
 the subsets before it, while a long scan soon runs at full batch size.
 The kernel also takes a stack of matrices with a common shape, so that one
 pass over the subsets of a size answers for all of them (see vc_at_most).
+A large level of pairs or triples of one matrix is decided at once by BLAS
+moment products when the kernel finds no witness among its first subsets
+(_moment_shattered); larger sets and vc_at_most stacks stay with the kernel.
 The budget counts work actually done: a search that has examined
 SUBSET_BUDGET subsets of one size without a witness, with more left, raises
-SizeLimitError instead of running without bound.
+SizeLimitError instead of running without bound. Moment products run only
+on levels of at most SUBSET_BUDGET sets, so they refuse nothing new.
 """
 
 from __future__ import annotations
@@ -35,6 +39,13 @@ SUBSET_BUDGET = 2_000_000
 # malloc serves from reused heap memory; larger ones are mapped afresh for
 # each batch, and their page faults made scans up to twice as slow.
 _BATCH_CELLS = 1 << 14
+
+# Moment products for pairs and triples (see _some_shattered). A level of at
+# most _MOMENT_CELLS cells (subsets x distinct rows) is scanned faster than
+# the products are set up, and the first _MOMENT_HEAD subsets stay with the
+# kernel so that an early witness costs what it costs in a scan.
+_MOMENT_CELLS = 4 * _BATCH_CELLS
+_MOMENT_HEAD = 64
 
 ColumnSet = tuple[int, ...]
 
@@ -139,11 +150,59 @@ def _batches(bits: np.ndarray, k: int) -> Iterator[np.ndarray]:
         yield C
 
 
+def _moment_shattered(bits: np.ndarray, k: int, antipodal: bool) -> bool:
+    """Is some k-set (k = 2 or 3) of the columns of one matrix bits (columns
+    x distinct rows) shattered, plainly or antipodally? Decides every set at
+    once from the counts of rows with ones on each column, pair and triple,
+    all BLAS products of the float64 rows B: the pair counts are BᵀB, and
+    the triples j < k < l come in one block per l, B[:, :l]ᵀ (B[:, :l] ∘
+    B[:, l]), so memory stays O(m²) and the loop stops at the first block
+    with a witness: its counts are those of the pairs j < k on the rows
+    with a one in column l, and on all rows less those. The counts are
+    integers below 2^53, so every sum is exact in any order, whatever the
+    BLAS library or thread count."""
+    B = bits.T.astype(np.float64)
+    G = B.T @ B
+    n, rows = np.diag(G), float(B.shape[0])
+
+    def pairs(P: np.ndarray, d: np.ndarray, r: float) -> list[np.ndarray]:
+        # Rows with bits (1, 1), (1, 0), (0, 1), (0, 0) on columns (j, k);
+        # patterns i and -1 - i are complements, here and for triples.
+        return [P, d[:, None] - P, d[None, :] - P, r - d[:, None] - d[None, :] + P]
+
+    def hit(c: list[np.ndarray]) -> bool:
+        ok = np.triu(np.ones(c[0].shape, dtype=bool), 1)
+        for i in range(len(c) // 2 if antipodal else len(c)):
+            ok &= (c[i] + c[-1 - i] if antipodal else c[i]) > 0
+        return bool(ok.any())
+
+    if k == 2:
+        return hit(pairs(G, n, rows))
+    for l in range(2, B.shape[1]):
+        ones = pairs(B[:, :l].T @ (B[:, :l] * B[:, l:l + 1]), G[:l, l], n[l])
+        every = pairs(G[:l, :l], n[:l], rows)
+        if hit(ones + [a - b for a, b in zip(every, ones)]):
+            return True
+    return False
+
+
 def _some_shattered(bits: np.ndarray, k: int, antipodal: bool) -> np.ndarray:
     """Per matrix of the stack bits: is some k-set of its columns shattered
-    (plainly or antipodally)? The scan stops once every matrix has one."""
+    (plainly or antipodally)? The scan stops once every matrix has one. A
+    single matrix with k = 2 or 3 and more than _MOMENT_CELLS cells, whose
+    C(m, k) sets fit in SUBSET_BUDGET, goes to _moment_shattered once the
+    scan has examined its first _MOMENT_HEAD subsets without a witness."""
+    m, rows = bits.shape[-2:]
+    sets = math.comb(m, k)
+    moments = bits.ndim == 2 and k in (2, 3) and (
+        sets * rows > _MOMENT_CELLS and sets <= SUBSET_BUDGET
+    )
     found = np.zeros(bits.shape[:-2], dtype=bool)
+    examined = 0
     for C in _batches(bits, k):
+        examined += len(C)
+        if moments and examined > _MOMENT_HEAD:
+            return found | _moment_shattered(bits, k, antipodal)
         found |= _covered(bits, C, antipodal).any(axis=-1)
         if found.all():
             break
@@ -170,10 +229,12 @@ def vc_dimension(S: SignMatrix) -> int:
     Subset sizes are tried in increasing order; the loop stops at the first
     size with no shattered set, and a k-set needs 2^k distinct rows. Each
     size stops at its first witness, and gives up with SizeLimitError after
-    examining SUBSET_BUDGET subsets without one. Practical range: a 57x57
-    projective plane (p=7) takes about 0.05 s for VC dimension plus dual
-    sign rank; sizes with more than two million subsets are refused only
-    when no witness comes early.
+    examining SUBSET_BUDGET subsets without one. Practical range: pairs and
+    triples of up to two million sets need no scan (see _some_shattered),
+    so VC dimension plus dual sign rank of a 57x57 projective plane (p=7)
+    take about 0.02 s, and the VC dimension of the 183x183 plane (p=13)
+    about 0.1 s; larger sizes are scanned, and refused past two million
+    subsets only when no witness comes early.
     """
     bits = _bit_columns(S)
     m, rows = bits.shape

@@ -492,15 +492,19 @@ def test_welzl_golden_outputs():
 def test_welzl_edges_do_not_depend_on_blas_threads():
     """Exact tie sets: one and two BLAS threads give the same trees, also
     through the float32 Hamming product and the admission of several
-    distance levels (interval_class(5), 497 rows)."""
+    distance levels (interval_class(5), 497 rows). The VC dimension and
+    dual sign rank, decided by moment products on pairs and triples, agree
+    too."""
     code = (
         "import json, numpy as np\n"
-        "from signrank import distinct_rows, grid_hyperplane, interval_class,"
-        " projective_incidence, welzl_path\n"
+        "from signrank import distinct_rows, dual_sign_rank, grid_hyperplane,"
+        " interval_class, projective_incidence, vc_dimension, welzl_path\n"
         "mats = [projective_incidence(5), distinct_rows(interval_class(3).matrix),"
         " grid_hyperplane(6, 3), interval_class(5).matrix]\n"
         "edges = [welzl_path(S, np.random.default_rng(3))[1].forest_edges for S in mats]\n"
-        "print(json.dumps(edges))\n"
+        "ranks = [(vc_dimension(S), dual_sign_rank(S)) for S in"
+        " (interval_class(5).matrix, projective_incidence(7))]\n"
+        "print(json.dumps([edges, ranks]))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(stabbing.__file__)))
     runs = []
@@ -513,7 +517,8 @@ def test_welzl_edges_do_not_depend_on_blas_threads():
         )
         runs.append(json.loads(done.stdout))
     assert runs[0] == runs[1]
-    assert all(len(edges) > 0 for edges in runs[0])
+    assert all(len(edges) > 0 for edges in runs[0][0])
+    assert runs[0][1] == [[2, 5], [2, 5]]
 
 
 def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
