@@ -4,20 +4,18 @@ Every answer here is exact, and the search is organized so that the typical
 case (tiny VC dimension) stays cheap: subsets are enumerated by increasing
 size and the search stops at the first size with no witness, which is sound
 because shattering (plain and antipodal) is monotone under taking column
-subsets. Within one size, subsets come from itertools.combinations in
-lexicographic order and go to a batched numpy kernel that stops at the first
-batch holding a witness. Batches double from one subset up to a cap of
-_BATCH_CELLS cells, so a witness that comes early costs at most about twice
-the subsets before it, while a long scan soon runs at full batch size.
-The kernel also takes a stack of matrices with a common shape, so that one
-pass over the subsets of a size answers for all of them (see vc_at_most).
-A large level of pairs or triples of one matrix is decided at once by BLAS
-moment products when the kernel finds no witness among its first subsets
-(_moment_shattered); larger sets and vc_at_most stacks stay with the kernel.
-The budget counts work actually done: a search that has examined
-SUBSET_BUDGET subsets of one size without a witness, with more left, raises
-SizeLimitError instead of running without bound. Moment products run only
-on levels of at most SUBSET_BUDGET sets, so they refuse nothing new.
+subsets. Within one size, the sets are examined in lexicographic order by a
+kernel on columns packed into 64-bit row masks (_scan), in doubling
+batches, so that an early witness costs little and a long scan soon runs at
+full batch size. The kernel also takes a stack of matrices with a common
+shape, so that one pass over the subsets of a size answers for all of them
+(see vc_at_most). A large level of pairs or triples of one matrix is
+decided at once by BLAS moment products when the kernel finds no witness
+among its first sets (_moment_shattered). The budget counts the sets of one
+size in the order: a search with no witness among the first SUBSET_BUDGET
+of them, with more left, raises SizeLimitError instead of running without
+bound. Moment products run only on levels of at most SUBSET_BUDGET sets, so
+they refuse nothing new.
 """
 
 from __future__ import annotations
@@ -34,16 +32,19 @@ from .matrix import SignMatrix, distinct_rows, has_distinct_rows
 # Max number of column subsets examined per subset size before giving up.
 SUBSET_BUDGET = 2_000_000
 
-# Cells (stacked matrices x subsets x distinct rows) per batch of the
-# kernel. Each int64 temporary of a batch then takes at most 128 KiB, which
-# malloc serves from reused heap memory; larger ones are mapped afresh for
-# each batch, and their page faults made scans up to twice as slow.
+# Cells per batch of the shattering kernel (stacked matrices x sets x
+# pattern masks x 64-bit words, or x columns for the index arrays of a batch
+# of prefixes) and of max_projections (subsets x distinct rows). Each 8-byte
+# temporary of a batch then takes at most 128 KiB, which malloc serves from
+# reused heap memory; larger ones are mapped afresh for each batch, and
+# their page faults made scans up to twice as slow.
 _BATCH_CELLS = 1 << 14
 
 # Moment products for pairs and triples (see _some_shattered). A level of at
 # most _MOMENT_CELLS cells (subsets x distinct rows) is scanned faster than
 # the products are set up, and the first _MOMENT_HEAD subsets stay with the
-# kernel so that an early witness costs what it costs in a scan.
+# kernel so that an early witness costs what it costs in a scan. The pair
+# counts come in blocks of at most _MOMENT_CELLS float64 entries.
 _MOMENT_CELLS = 4 * _BATCH_CELLS
 _MOMENT_HEAD = 64
 
@@ -67,14 +68,15 @@ def _bit_columns(S: SignMatrix) -> np.ndarray:
     return np.ascontiguousarray(plus.T, dtype=np.intp)
 
 
-def _subsets(m: int, k: int, size: int) -> Iterator[np.ndarray]:
+def _subsets(m: int, k: int, size: int, batch: int = 1) -> Iterator[np.ndarray]:
     """All k-subsets (k >= 1) of range(m) in lexicographic order, as sorted
-    index rows, in batches of 1, 2, 4, ... rows, capped at `size`. Full-size
-    batches from the start would build and test up to `size` subsets to
-    find a witness among the first few; doubling bounds that waste by the
-    subsets examined before the witness."""
+    index rows, in batches of `batch`, twice that, four times that, ...
+    rows, capped at `size`. Full-size batches from the start would build
+    and test up to `size` subsets to find a witness among the first few;
+    doubling bounds that waste by the subsets examined before the
+    witness."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
-    batch = 1
+    batch = min(batch, size)
     while len(C := np.fromiter(itertools.islice(flat, batch * k), dtype=np.intp)):
         yield C.reshape(-1, k)
         batch = min(2 * batch, size)
@@ -92,135 +94,227 @@ def _dense_ranks(ids: np.ndarray) -> np.ndarray:
 
 
 def _pattern_ids(bits: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """ids[..., b, r] names the pattern of row r on the columns C[b] of the
-    matrix bits[...] (columns x rows, under any leading stack axes): equal
-    patterns get equal ids. Up to 62 columns the id is
-    sum_i bits[..., C[b, i], r] << i; wider sets are renumbered densely
+    """ids[b, r] names the pattern of row r on the columns C[b] of bits
+    (columns x rows): equal patterns get equal ids. Up to 62 columns the id
+    is sum_i bits[C[b, i], r] << i; wider sets are renumbered densely
     whenever the ids fill 62 bits."""
     rows = bits.shape[-1]
-    ids = np.zeros(bits.shape[:-2] + (len(C), rows), dtype=np.intp)
+    ids = np.zeros((len(C), rows), dtype=np.intp)
     shift = 0
     for i in range(C.shape[1]):
         if shift == 62:
             ids, shift = _dense_ranks(ids), rows.bit_length()
-        ids |= bits[..., C[:, i], :] << shift
+        ids |= bits[C[:, i], :] << shift
         shift += 1
     return ids
 
 
-def _covered(bits: np.ndarray, C: np.ndarray, antipodal: bool) -> np.ndarray:
-    """Per matrix of the stack and subset C[b], an array of shape
-    bits.shape[:-2] + (len(C),): does every sign pattern (or, antipodally,
-    every pair of opposite patterns) occur among the rows?"""
-    k = C.shape[1]
-    slots = 1 << (k - 1 if antipodal else k)
-    lead = bits.shape[:-2] + (len(C),)
-    if bits.shape[-1] < slots:
-        return np.zeros(lead, dtype=bool)
-    ids = _pattern_ids(bits, C).reshape(-1, bits.shape[-1])
-    if antipodal:
-        np.minimum(ids, ((1 << k) - 1) ^ ids, out=ids)
-    table = np.zeros((len(ids), slots), dtype=bool)
-    table[np.arange(len(ids))[:, None], ids] = True
-    return table.all(axis=1).reshape(lead)
+def _refusal(m: int, k: int) -> SizeLimitError:
+    return SizeLimitError(
+        f"examined {SUBSET_BUDGET} of {math.comb(m, k)} column subsets "
+        f"of size {k} without an answer, the budget of {SUBSET_BUDGET}; "
+        "this input is too large for the exact search"
+    )
 
 
 def _batches(bits: np.ndarray, k: int) -> Iterator[np.ndarray]:
-    """The k-subsets of the columns in lexicographic order, in batches of at
-    most _BATCH_CELLS cells (stacked matrices x subsets x rows, or x k when
-    k is the larger, which only wide max_projections reach). Raises
-    SizeLimitError when SUBSET_BUDGET subsets have been handed out and more
-    remain, so a caller that stops early is never refused. Every matrix of
-    a stack is examined on every subset handed out, so the budget bounds
-    the subsets examined per matrix."""
-    m, rows = bits.shape[-2:]
-    width = math.prod(bits.shape[:-2]) * max(rows, k)
+    """The k-subsets of the columns of bits (columns x rows) in
+    lexicographic order, in batches of at most _BATCH_CELLS cells (subsets
+    x rows, or x k when k is the larger). Raises SizeLimitError when
+    SUBSET_BUDGET subsets have been handed out and more remain, so a caller
+    that stops early is never refused."""
+    m, rows = bits.shape
     examined = 0
-    for C in _subsets(m, k, max(1, _BATCH_CELLS // max(1, width))):
+    for C in _subsets(m, k, max(1, _BATCH_CELLS // max(rows, k))):
         left = SUBSET_BUDGET - examined
         if len(C) > left:
             if left:
                 yield C[:left]
-            raise SizeLimitError(
-                f"examined {SUBSET_BUDGET} of {math.comb(m, k)} column subsets "
-                f"of size {k} without an answer, the budget of {SUBSET_BUDGET}; "
-                "this input is too large for the exact search"
-            )
+            raise _refusal(m, k)
         examined += len(C)
         yield C
+
+
+def _packed(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 columns bits (..., columns, rows) as row masks: uint64 words
+    of shape (..., columns, W), one bit per row and zero padding past the
+    last row, and the (W,) mask of all rows."""
+    rows = bits.shape[-1]
+    width = -(-rows // 64)
+    packed = np.zeros(bits.shape[:-1] + (8 * width,), dtype=np.uint8)
+    packed[..., :-(-rows // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    valid = np.array([(1 << min(64, rows - 64 * w)) - 1 for w in range(width)], dtype=np.uint64)
+    return packed.view(np.uint64), valid
+
+
+def _prefixes(m: int, j: int, size: int) -> Iterator[np.ndarray]:
+    """All j-subsets (j >= 1) of range(m) in lexicographic order, in batches
+    of at most `size`. itertools builds only the (j - 1)-subsets of
+    range(m - 1), in batches that double from 1/64 of `size`, and each is
+    followed by every column past its last."""
+    if j == 1:
+        yield from _subsets(m, 1, size, max(1, size >> 6))
+        return
+    for heads in _subsets(m - 1, j - 1, max(1, size // j), max(1, size >> 6)):
+        i, last = np.unravel_index(np.flatnonzero(np.arange(m) > heads[:, -1:]), (len(heads), m))
+        subsets = np.empty((len(i), j), dtype=np.intp)
+        subsets[:, :-1], subsets[:, -1] = heads[i], last
+        yield from (subsets[a:a + size] for a in range(0, len(subsets), size))
+
+
+def _scan(packed: tuple[np.ndarray, np.ndarray], k: int, antipodal: bool, limit: int) -> np.ndarray:
+    """Per matrix of the stack packed (see _packed): is one of the first
+    `limit` k-sets of its columns, in lexicographic order, shattered
+    (plainly or antipodally)?
+
+    A k-set is a prefix of k - 1 columns and a last column l past them. The
+    row masks of the prefix's patterns are ANDs of its columns and their
+    complements, and the set is shattered when l splits every mask into two
+    non-empty halves. So a prefix with a mask of fewer than two rows starts
+    no shattered set, and its sets are passed over (they still take their
+    places in the order). Antipodally, the rows are normalized by the set's
+    first column c: the set is antipodally shattered iff its other columns,
+    each XORed with c, are plainly shattered, since a pattern and its
+    opposite normalize alike. Every temporary holds about _BATCH_CELLS
+    cells at most."""
+    words, valid = packed
+    m, W = words.shape[-2:]
+    flat = words.reshape(-1, m, W)
+    found = np.zeros(len(flat), dtype=bool)
+    if antipodal and k == 1:
+        # Each pattern of one column or its opposite occurs in any row.
+        found[:] = limit > 0 and valid.any()
+        return found.reshape(words.shape[:-2])
+    first = int(antipodal)  # the prefix's first column in the AND tree
+    patterns = 1 << (k - 1 - first)  # row masks per prefix
+    cells = max(1, _BATCH_CELLS // (4 * patterns * W))
+    size = max(1, _BATCH_CELLS // (len(flat) * max(m, 2 * patterns * W)))
+    # The one prefix of a 1-set is empty, ending before column 0.
+    prefixes = _prefixes(m - 1, k - 1, size) if k > 1 else [np.full((1, 1), -1)]
+    start, columns = 0, np.arange(m)
+    for pre in prefixes:
+        if start >= limit:
+            break
+        last = pre[:, -1]
+        masks = np.empty((len(flat), len(pre), patterns, W), dtype=np.uint64)
+        masks[:, :, 0] = valid
+        norm = flat[:, pre[:, 0]] if antipodal else None
+        for i in range(first, k - 1):
+            # Split each of the n masks so far in place: its rows with a one
+            # in the column go to a new mask n places on.
+            n = 1 << (i - first)
+            column = flat[:, pre[:, i]] ^ norm if antipodal else flat[:, pre[:, i]]
+            np.bitwise_and(masks[:, :, :n], column[:, :, None], out=masks[:, :, n:2 * n])
+            masks[:, :, :n] ^= masks[:, :, n:2 * n]
+        # A mask holds two rows or more when one of its words holds two
+        # bits, or two of its words are non-zero.
+        several = (masks & (masks - 1)).any(axis=-1)
+        if W > 1:
+            several |= (masks != 0).sum(axis=-1) > 1
+        # The sets (matrix, prefix, last column) to test, as flat indices.
+        grid = several.all(axis=-1)[:, :, None] & ~found[:, None, None] & (columns > last[:, None])
+        sets = np.flatnonzero(grid)
+        count = m - 1 - last
+        end = start + int(count.sum())
+        if end > limit:
+            # The set (pre[p], l) comes at this place in the order.
+            _, p, l = np.unravel_index(sets, grid.shape)
+            sets = sets[(np.cumsum(count) - count + start - last - 1)[p] + l < limit]
+        start = end
+        for a in range(0, len(sets), cells):
+            s, p, l = np.unravel_index(sets[a:a + cells], grid.shape)
+            column = flat[s, l]
+            if antipodal:
+                column ^= norm[s, p]
+            halves = masks[s, p]
+            ones = halves & column[:, None]
+            found[s[(ones.any(axis=-1) & (ones != halves).any(axis=-1)).all(axis=-1)]] = True
+            if found.all():
+                return found.reshape(words.shape[:-2])
+    return found.reshape(words.shape[:-2])
 
 
 def _moment_shattered(bits: np.ndarray, k: int, antipodal: bool) -> bool:
     """Is some k-set (k = 2 or 3) of the columns of one matrix bits (columns
     x distinct rows) shattered, plainly or antipodally? Decides every set at
     once from the counts of rows with ones on each column, pair and triple,
-    all BLAS products of the float64 rows B: the pair counts are BᵀB, and
-    the triples j < k < l come in one block per l, B[:, :l]ᵀ (B[:, :l] ∘
-    B[:, l]), so memory stays O(m²) and the loop stops at the first block
-    with a witness: its counts are those of the pairs j < k on the rows
-    with a one in column l, and on all rows less those. The counts are
-    integers below 2^53, so every sum is exact in any order, whatever the
-    BLAS library or thread count."""
+    all BLAS products of the float64 rows B. The pairs j < k come in blocks
+    of rows of BᵀB of at most _MOMENT_CELLS entries, so memory stays
+    bounded; the triples j < k < l come in one block per l, B[:, :l]ᵀ
+    (B[:, :l] ∘ B[:, l]), so memory stays O(m²). Either loop stops at the
+    first block with a witness; a triple's counts are those of the pair
+    j < k on the rows with a one in column l, and on all rows less those.
+    The counts are integers below 2^53, so every sum is exact in any order,
+    whatever the BLAS library or thread count."""
     B = bits.T.astype(np.float64)
-    G = B.T @ B
-    n, rows = np.diag(G), float(B.shape[0])
+    n, rows = B.sum(axis=0), float(B.shape[0])
 
-    def pairs(P: np.ndarray, d: np.ndarray, r: float) -> list[np.ndarray]:
+    def pairs(P: np.ndarray, dj: np.ndarray, dk: np.ndarray, r: float) -> list[np.ndarray]:
         # Rows with bits (1, 1), (1, 0), (0, 1), (0, 0) on columns (j, k);
         # patterns i and -1 - i are complements, here and for triples.
-        return [P, d[:, None] - P, d[None, :] - P, r - d[:, None] - d[None, :] + P]
+        return [P, dj[:, None] - P, dk[None, :] - P, r - dj[:, None] - dk[None, :] + P]
 
     def hit(c: list[np.ndarray]) -> bool:
+        # Entry (i, i') stands for the pair of the i-th row and i'-th column
+        # of the block, which starts on the diagonal.
         ok = np.triu(np.ones(c[0].shape, dtype=bool), 1)
         for i in range(len(c) // 2 if antipodal else len(c)):
             ok &= (c[i] + c[-1 - i] if antipodal else c[i]) > 0
         return bool(ok.any())
 
+    m = B.shape[1]
     if k == 2:
-        return hit(pairs(G, n, rows))
-    for l in range(2, B.shape[1]):
-        ones = pairs(B[:, :l].T @ (B[:, :l] * B[:, l:l + 1]), G[:l, l], n[l])
-        every = pairs(G[:l, :l], n[:l], rows)
+        step = max(1, _MOMENT_CELLS // m)
+        return any(
+            hit(pairs(B[:, a:a + step].T @ B[:, a:], n[a:a + step], n[a:], rows))
+            for a in range(0, m, step)
+        )
+    G = B.T @ B
+    for l in range(2, m):
+        ones = pairs(B[:, :l].T @ (B[:, :l] * B[:, l:l + 1]), G[:l, l], G[:l, l], n[l])
+        every = pairs(G[:l, :l], n[:l], n[:l], rows)
         if hit(ones + [a - b for a, b in zip(every, ones)]):
             return True
     return False
 
 
-def _some_shattered(bits: np.ndarray, k: int, antipodal: bool) -> np.ndarray:
-    """Per matrix of the stack bits: is some k-set of its columns shattered
-    (plainly or antipodally)? The scan stops once every matrix has one. A
-    single matrix with k = 2 or 3 and more than _MOMENT_CELLS cells, whose
-    C(m, k) sets fit in SUBSET_BUDGET, goes to _moment_shattered once the
-    scan has examined its first _MOMENT_HEAD subsets without a witness."""
+def _some_shattered(bits: np.ndarray, packed: tuple[np.ndarray, np.ndarray], k: int, antipodal: bool) -> np.ndarray:
+    """Per matrix of the stack bits, packed by _packed: is some k-set of its
+    columns shattered (plainly or antipodally)? The scan stops once every
+    matrix has one, and raises SizeLimitError when SUBSET_BUDGET sets of
+    C(m, k) > SUBSET_BUDGET hold none for some matrix. A single matrix with
+    k = 2 or 3 and more than _MOMENT_CELLS cells (sets x rows), whose C(m, k)
+    sets fit in SUBSET_BUDGET, goes to _moment_shattered when its first
+    _MOMENT_HEAD sets hold no witness."""
     m, rows = bits.shape[-2:]
     sets = math.comb(m, k)
     moments = bits.ndim == 2 and k in (2, 3) and (
         sets * rows > _MOMENT_CELLS and sets <= SUBSET_BUDGET
     )
-    found = np.zeros(bits.shape[:-2], dtype=bool)
-    examined = 0
-    for C in _batches(bits, k):
-        examined += len(C)
-        if moments and examined > _MOMENT_HEAD:
-            return found | _moment_shattered(bits, k, antipodal)
-        found |= _covered(bits, C, antipodal).any(axis=-1)
-        if found.all():
-            break
+    found = _scan(packed, k, antipodal, min(sets, _MOMENT_HEAD if moments else SUBSET_BUDGET))
+    if moments and not found:
+        return found | _moment_shattered(bits, k, antipodal)
+    if sets > SUBSET_BUDGET and not found.all():
+        raise _refusal(m, k)
     return found
+
+
+def _set_shattered(S: SignMatrix, cols: Iterable[int], antipodal: bool) -> bool:
+    cols = _normalize_columns(S, cols)
+    words, valid = _packed(_bit_columns(S))
+    return bool(_scan((words[list(cols)], valid), len(cols), antipodal, 1))
 
 
 def is_shattered(S: SignMatrix, cols: Iterable[int]) -> bool:
     """True iff every one of the 2^|cols| sign patterns occurs among the rows
     restricted to `cols`."""
-    C = np.array([_normalize_columns(S, cols)], dtype=np.intp)
-    return bool(_covered(_bit_columns(S), C, antipodal=False)[0])
+    return _set_shattered(S, cols, antipodal=False)
 
 
 def is_antipodally_shattered(S: SignMatrix, cols: Iterable[int]) -> bool:
     """True iff for every pattern v over `cols`, v or -v occurs among the
     restricted rows."""
-    C = np.array([_normalize_columns(S, cols)], dtype=np.intp)
-    return bool(_covered(_bit_columns(S), C, antipodal=True)[0])
+    return _set_shattered(S, cols, antipodal=True)
 
 
 def vc_dimension(S: SignMatrix) -> int:
@@ -229,18 +323,19 @@ def vc_dimension(S: SignMatrix) -> int:
     Subset sizes are tried in increasing order; the loop stops at the first
     size with no shattered set, and a k-set needs 2^k distinct rows. Each
     size stops at its first witness, and gives up with SizeLimitError after
-    examining SUBSET_BUDGET subsets without one. Practical range: pairs and
-    triples of up to two million sets need no scan (see _some_shattered),
-    so VC dimension plus dual sign rank of a 57x57 projective plane (p=7)
-    take about 0.02 s, and the VC dimension of the 183x183 plane (p=13)
-    about 0.1 s; larger sizes are scanned, and refused past two million
-    subsets only when no witness comes early.
+    examining SUBSET_BUDGET subsets without one. Practical range: VC
+    dimension plus dual sign rank of a 57x57 projective plane (p=7) take
+    about 5 ms, and of the 183x183 plane (p=13) about 0.1 s, almost all of
+    it the moment products that show no triple is shattered; a level past
+    two million subsets is refused only when no witness comes among the
+    first two million, as for disjointness(6), refused after about 0.1 s.
     """
     bits = _bit_columns(S)
+    packed = _packed(bits)
     m, rows = bits.shape
     hi = min(m, rows.bit_length() - 1)
     for k in range(1, hi + 1):
-        if not _some_shattered(bits, k, antipodal=False):
+        if not _some_shattered(bits, packed, k, antipodal=False):
             return k - 1
     return hi
 
@@ -256,7 +351,7 @@ def vc_at_most(bits: np.ndarray, d: int) -> np.ndarray:
     m, rows = bits.shape[-2:]
     if d + 1 > min(m, rows.bit_length() - 1):
         return np.ones(bits.shape[:-2], dtype=bool)
-    return ~_some_shattered(bits, d + 1, antipodal=False)
+    return ~_some_shattered(bits, _packed(bits), d + 1, antipodal=False)
 
 
 def dual_sign_rank(S: SignMatrix, vc: int | None = None) -> int:
@@ -271,11 +366,16 @@ def dual_sign_rank(S: SignMatrix, vc: int | None = None) -> int:
     antipodally shattered 2j-set found before it proves.
     """
     bits = _bit_columns(S)
+    packed = _packed(bits)
     m, rows = bits.shape
     hi = min(m, rows.bit_length(), m if vc is None else 2 * vc + 1)
     for k in range(1, hi + 1):
-        over_vc = vc is None and k % 2 == 0 and not _some_shattered(bits, k // 2, antipodal=False)
-        if over_vc or not _some_shattered(bits, k, antipodal=True):
+        # A shattered set is antipodally shattered, so sizes up to vc hold a
+        # witness, and a scan within the budget would find it.
+        if vc is not None and k <= vc and math.comb(m, k) <= SUBSET_BUDGET:
+            continue
+        over_vc = vc is None and k % 2 == 0 and not _some_shattered(bits, packed, k // 2, antipodal=False)
+        if over_vc or not _some_shattered(bits, packed, k, antipodal=True):
             return k - 1
     return hi
 

@@ -422,11 +422,11 @@ def test_moment_path_matches_kernel(monkeypatch):
         rows, cols = int(rng.integers(2, 41)), int(rng.integers(3, 15))
         S = SignMatrix(np.where(rng.random((rows, cols)) < rng.random(), 1, -1))
         bits = vc._bit_columns(S)
+        packed = vc._packed(bits)
         for k in (2, 3):
-            C = np.array(list(itertools.combinations(range(cols), k)))
             for antipodal in (False, True):
-                want = bool(vc._covered(bits, C, antipodal).any())
-                assert bool(vc._some_shattered(bits, k, antipodal)) == want
+                want = bool(vc._scan(packed, k, antipodal, math.comb(cols, k)))
+                assert bool(vc._some_shattered(bits, packed, k, antipodal)) == want
                 assert calls.pop() == (k, antipodal, want)
                 answers.add((k, antipodal, want))
     assert len(answers) == 8
@@ -488,17 +488,178 @@ def test_moment_path_skips_census_stacks(monkeypatch):
 
 
 def test_vc1_pair_scan_is_bounded_by_work(monkeypatch):
-    # No pair of the 1000 columns is shattered, and C(1000, 2) pairs would
-    # take the kernel seconds; it sees only the first _MOMENT_HEAD pairs.
+    # No pair of the 1000 columns is shattered. The moment products decide
+    # the C(1000, 2) pairs, and the kernel sees only the first _MOMENT_HEAD.
     S = signed_identity(1000)
     handed = []
-    original = vc._covered
+    original = vc._scan
     monkeypatch.setattr(
-        vc, "_covered",
-        lambda bits, C, antipodal: handed.append(C.shape) or original(bits, C, antipodal),
+        vc, "_scan",
+        lambda packed, k, antipodal, limit: handed.append((limit, k)) or original(packed, k, antipodal, limit),
     )
     assert vc_dimension(S) == 1
     assert 0 < sum(n for n, k in handed if k == 2) <= vc._MOMENT_HEAD
     handed.clear()
     assert dual_sign_rank(S, vc=1) == 3
     assert 0 < sum(n for n, k in handed if k == 2) <= vc._MOMENT_HEAD
+
+
+def first_witness(S, k, antipodal):
+    """Lexicographic index of the first k-set of columns that is shattered
+    (plainly or antipodally), by brute force, or None."""
+    test = brute_antipodal if antipodal else brute_shattered
+    combos = itertools.combinations(range(S.n_cols), k)
+    return next((i for i, cols in enumerate(combos) if test(S, cols)), None)
+
+
+def level_answer(S, k, antipodal, budget):
+    """What a lexicographic subset scan under `budget` answers for level k:
+    whether a witness lies among the first `budget` sets, or the refusal
+    message when none does and more sets remain."""
+    w, total = first_witness(S, k, antipodal), math.comb(S.n_cols, k)
+    if w is not None and w < budget:
+        return True
+    if total > budget:
+        return (
+            f"examined {budget} of {total} column subsets of size {k} without an "
+            f"answer, the budget of {budget}; this input is too large for the exact search"
+        )
+    return False
+
+
+def scanned_answer(S, k, antipodal):
+    bits = vc._bit_columns(S)
+    try:
+        return bool(vc._some_shattered(bits, vc._packed(bits), k, antipodal))
+    except SizeLimitError as refused:
+        return str(refused)
+
+
+def word_boundary_matrix(rng, rows):
+    """`rows` distinct rows over 8 columns, each with at most four -1
+    entries, so the all -1 pattern never occurs on a set of five columns and
+    rarely on fewer: a padding bit counted as a row would show as one."""
+    dense = [r for r in range(1 << 8) if bin(r).count("1") >= 4]
+    picked = rng.choice(dense, size=rows, replace=False)
+    return SignMatrix(np.where((picked[:, None] >> np.arange(8)) & 1, 1, -1))
+
+
+@pytest.mark.parametrize("rows", [63, 64, 65, 128, 129])
+def test_kernel_on_word_boundaries(rows):
+    # Distinct-row counts on either side of one and two 64-bit words; levels
+    # past log2(rows) have fewer rows than 2^k patterns.
+    rng = np.random.default_rng(rows)
+    S = word_boundary_matrix(rng, rows)
+    packed = vc._packed(vc._bit_columns(S))
+    assert packed[0].shape == (8, -(-rows // 64))
+    some = {}
+    for k in range(1, 9):
+        for antipodal in (False, True):
+            some[k, antipodal] = first_witness(S, k, antipodal) is not None
+            assert bool(vc._scan(packed, k, antipodal, math.comb(8, k))) == some[k, antipodal]
+    assert vc_dimension(S) == max(k for k in range(1, 9) if some[k, False])
+    assert dual_sign_rank(S) == max(k for k in range(1, 9) if some[k, True])
+    for cols in itertools.combinations(range(8), 4):
+        assert is_shattered(S, cols) == brute_shattered(S, cols)
+        assert is_antipodally_shattered(S, cols) == brute_antipodal(S, cols)
+    stack = np.stack([vc._bit_columns(word_boundary_matrix(rng, rows)) for _ in range(3)])
+    dims = [vc_dimension(SignMatrix(2 * b.T - 1)) for b in stack]
+    for d in range(1, 5):
+        assert vc.vc_at_most(stack, d).tolist() == [dim <= d for dim in dims]
+
+
+@pytest.mark.parametrize("cells", [None, 1, 5])
+def test_scan_matches_bruteforce_at_every_level_and_limit(monkeypatch, cells):
+    # Every level k = 1 .. columns, rows fewer than 2^k included, plain and
+    # antipodal, and every limit on the sets examined.
+    if cells is not None:
+        monkeypatch.setattr(vc, "_BATCH_CELLS", cells)
+    for S in kernel_cases()[::3]:
+        packed = vc._packed(vc._bit_columns(S))
+        for k in range(1, S.n_cols + 1):
+            for antipodal in (False, True):
+                w = first_witness(S, k, antipodal)
+                for limit in range(math.comb(S.n_cols, k) + 1):
+                    got = bool(vc._scan(packed, k, antipodal, limit))
+                    assert got == (w is not None and w < limit), (S.entries, k, antipodal, limit)
+
+
+def block_matrix(shattered, m=10):
+    """All sign patterns on the columns `shattered`, -1 elsewhere: the only
+    shattered set of that size is `shattered`."""
+    rows = itertools.product((1, -1), repeat=len(shattered))
+    out = np.full((1 << len(shattered), m), -1)
+    out[:, list(shattered)] = list(rows)
+    return SignMatrix(out)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7])
+def test_budget_edges_inside_pruned_and_live_prefixes(monkeypatch, cells):
+    # (0, 2, 3, 4) is the 29th 4-set: the 28 sets before it extend prefixes
+    # (0, 1, j), which constant column 1 prunes. (0, 1, 2, 6) is the 4th:
+    # the 3 sets before it extend the live prefix (0, 1, 2). Every budget
+    # from 1 to C(10, 4) = 210 gives the lexicographic scan's answer, and the
+    # same refusal message.
+    if cells is not None:
+        monkeypatch.setattr(vc, "_BATCH_CELLS", cells)
+    cases = [(block_matrix((0, 2, 3, 4)), 28), (block_matrix((0, 1, 2, 6)), 3)]
+    for S, witness in cases:
+        assert first_witness(S, 4, False) == witness
+        for budget in range(1, 211):
+            monkeypatch.setattr(vc, "SUBSET_BUDGET", budget)
+            assert scanned_answer(S, 4, False) == level_answer(S, 4, False, budget)
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 5)
+    with pytest.raises(SizeLimitError, match="examined 5 of 210 column subsets of size 4"):
+        vc.vc_at_most(vc._bit_columns(cases[0][0]), 3)
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 29)
+    assert not vc.vc_at_most(vc._bit_columns(cases[0][0]), 3)
+
+
+def test_budget_edges_on_random_levels(monkeypatch):
+    rng = np.random.default_rng(59)
+    for _ in range(12):
+        S = random_sign_matrix(rng, int(rng.integers(4, 17)), int(rng.integers(4, 8)))
+        for k in (2, 3, 4):
+            for antipodal in (False, True):
+                for budget in range(1, math.comb(S.n_cols, k) + 2):
+                    monkeypatch.setattr(vc, "SUBSET_BUDGET", budget)
+                    assert scanned_answer(S, k, antipodal) == level_answer(S, k, antipodal, budget)
+
+
+@pytest.mark.parametrize("cells", [1, 6, 40])
+def test_vc_at_most_stack_finds_witnesses_in_different_batches(monkeypatch, cells):
+    # Each matrix shatters one 3-set only, at lexicographic index 0, 76, 96
+    # and 119 of C(10, 3) = 120, and the last shatters none; in tiny batches
+    # the witnesses fall in different batches, and a matrix keeps its
+    # answer once found.
+    monkeypatch.setattr(vc, "_BATCH_CELLS", cells)
+    blocks = [(0, 1, 2), (2, 5, 7), (3, 6, 9), (7, 8, 9)]
+    stack = [vc._bit_columns(block_matrix(cols)) for cols in blocks]
+    stack = np.stack(stack + [vc._bit_columns(SignMatrix(signed_identity(10).entries[:8]))])
+    combos = list(itertools.combinations(range(10), 3))
+    assert [combos.index(cols) for cols in blocks] == [0, 76, 96, 119]
+    want = [brute_vc_dimension(SignMatrix(2 * b.T - 1)) <= 2 for b in stack]
+    assert want == [False, False, False, False, True]
+    assert vc.vc_at_most(stack, 2).tolist() == want
+    assert vc.vc_at_most(stack[::-1], 2).tolist() == want[::-1]
+
+
+def test_dual_with_vc_refuses_as_the_level_scans(monkeypatch):
+    # With `vc` given, sizes up to vc are known to hold a witness, but a
+    # size of more sets than the budget is still scanned, and refused when
+    # its first witness lies past the budget.
+    S = block_matrix((3, 5, 7, 8), m=12)
+    vc_S = vc_dimension(S)
+    for budget in (1, 5, 12, 40, 66, 70, 200, 220, 495, 496):
+        monkeypatch.setattr(vc, "SUBSET_BUDGET", budget)
+        want = None
+        for k in range(1, min(12, S.n_rows.bit_length(), 2 * vc_S + 1) + 1):
+            level = level_answer(S, k, True, budget)
+            if level is not True:
+                want = k - 1 if level is False else level
+                break
+        try:
+            got = dual_sign_rank(S, vc=vc_S)
+        except SizeLimitError as refused:
+            got = str(refused)
+        assert got == (want if want is not None else min(12, 5, 2 * vc_S + 1))
