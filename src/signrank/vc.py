@@ -4,18 +4,14 @@ Every answer here is exact, and the search is organized so that the typical
 case (tiny VC dimension) stays cheap: subsets are enumerated by increasing
 size and the search stops at the first size with no witness, which is sound
 because shattering (plain and antipodal) is monotone under taking column
-subsets. Within one size, the sets are examined in lexicographic order by a
+subsets. Within one size, the sets are examined in lexicographic order by one
 kernel on columns packed into 64-bit row masks (_scan), in doubling
 batches, so that an early witness costs little and a long scan soon runs at
 full batch size. The kernel also takes a stack of matrices with a common
 shape, so that one pass over the subsets of a size answers for all of them
-(see vc_at_most). A large level of pairs or triples of one matrix is
-decided at once by BLAS moment products when the kernel finds no witness
-among its first sets (_moment_shattered). The budget counts the sets of one
-size in the order: a search with no witness among the first SUBSET_BUDGET
-of them, with more left, raises SizeLimitError instead of running without
-bound. Moment products run only on levels of at most SUBSET_BUDGET sets, so
-they refuse nothing new.
+(see vc_at_most). The budget counts the sets of one size in the order: a
+search with no witness among the first SUBSET_BUDGET of them, with more
+left, raises SizeLimitError instead of running without bound.
 """
 
 from __future__ import annotations
@@ -39,14 +35,6 @@ SUBSET_BUDGET = 2_000_000
 # reused heap memory; larger ones are mapped afresh for each batch, and
 # their page faults made scans up to twice as slow.
 _BATCH_CELLS = 1 << 14
-
-# Moment products for pairs and triples (see _some_shattered). A level of at
-# most _MOMENT_CELLS cells (subsets x distinct rows) is scanned faster than
-# the products are set up, and the first _MOMENT_HEAD subsets stay with the
-# kernel so that an early witness costs what it costs in a scan. The pair
-# counts come in blocks of at most _MOMENT_CELLS float64 entries.
-_MOMENT_CELLS = 4 * _BATCH_CELLS
-_MOMENT_HEAD = 64
 
 ColumnSet = tuple[int, ...]
 
@@ -234,66 +222,14 @@ def _scan(packed: tuple[np.ndarray, np.ndarray], k: int, antipodal: bool, limit:
     return found.reshape(words.shape[:-2])
 
 
-def _moment_shattered(bits: np.ndarray, k: int, antipodal: bool) -> bool:
-    """Is some k-set (k = 2 or 3) of the columns of one matrix bits (columns
-    x distinct rows) shattered, plainly or antipodally? Decides every set at
-    once from the counts of rows with ones on each column, pair and triple,
-    all BLAS products of the float64 rows B. The pairs j < k come in blocks
-    of rows of BᵀB of at most _MOMENT_CELLS entries, so memory stays
-    bounded; the triples j < k < l come in one block per l, B[:, :l]ᵀ
-    (B[:, :l] ∘ B[:, l]), so memory stays O(m²). Either loop stops at the
-    first block with a witness; a triple's counts are those of the pair
-    j < k on the rows with a one in column l, and on all rows less those.
-    The counts are integers below 2^53, so every sum is exact in any order,
-    whatever the BLAS library or thread count."""
-    B = bits.T.astype(np.float64)
-    n, rows = B.sum(axis=0), float(B.shape[0])
-
-    def pairs(P: np.ndarray, dj: np.ndarray, dk: np.ndarray, r: float) -> list[np.ndarray]:
-        # Rows with bits (1, 1), (1, 0), (0, 1), (0, 0) on columns (j, k);
-        # patterns i and -1 - i are complements, here and for triples.
-        return [P, dj[:, None] - P, dk[None, :] - P, r - dj[:, None] - dk[None, :] + P]
-
-    def hit(c: list[np.ndarray]) -> bool:
-        # Entry (i, i') stands for the pair of the i-th row and i'-th column
-        # of the block, which starts on the diagonal.
-        ok = np.triu(np.ones(c[0].shape, dtype=bool), 1)
-        for i in range(len(c) // 2 if antipodal else len(c)):
-            ok &= (c[i] + c[-1 - i] if antipodal else c[i]) > 0
-        return bool(ok.any())
-
-    m = B.shape[1]
-    if k == 2:
-        step = max(1, _MOMENT_CELLS // m)
-        return any(
-            hit(pairs(B[:, a:a + step].T @ B[:, a:], n[a:a + step], n[a:], rows))
-            for a in range(0, m, step)
-        )
-    G = B.T @ B
-    for l in range(2, m):
-        ones = pairs(B[:, :l].T @ (B[:, :l] * B[:, l:l + 1]), G[:l, l], G[:l, l], n[l])
-        every = pairs(G[:l, :l], n[:l], n[:l], rows)
-        if hit(ones + [a - b for a, b in zip(every, ones)]):
-            return True
-    return False
-
-
-def _some_shattered(bits: np.ndarray, packed: tuple[np.ndarray, np.ndarray], k: int, antipodal: bool) -> np.ndarray:
-    """Per matrix of the stack bits, packed by _packed: is some k-set of its
+def _some_shattered(packed: tuple[np.ndarray, np.ndarray], k: int, antipodal: bool) -> np.ndarray:
+    """Per matrix of the stack packed (see _packed): is some k-set of its
     columns shattered (plainly or antipodally)? The scan stops once every
     matrix has one, and raises SizeLimitError when SUBSET_BUDGET sets of
-    C(m, k) > SUBSET_BUDGET hold none for some matrix. A single matrix with
-    k = 2 or 3 and more than _MOMENT_CELLS cells (sets x rows), whose C(m, k)
-    sets fit in SUBSET_BUDGET, goes to _moment_shattered when its first
-    _MOMENT_HEAD sets hold no witness."""
-    m, rows = bits.shape[-2:]
+    C(m, k) > SUBSET_BUDGET hold none for some matrix."""
+    m = packed[0].shape[-2]
     sets = math.comb(m, k)
-    moments = bits.ndim == 2 and k in (2, 3) and (
-        sets * rows > _MOMENT_CELLS and sets <= SUBSET_BUDGET
-    )
-    found = _scan(packed, k, antipodal, min(sets, _MOMENT_HEAD if moments else SUBSET_BUDGET))
-    if moments and not found:
-        return found | _moment_shattered(bits, k, antipodal)
+    found = _scan(packed, k, antipodal, min(sets, SUBSET_BUDGET))
     if sets > SUBSET_BUDGET and not found.all():
         raise _refusal(m, k)
     return found
@@ -325,17 +261,16 @@ def vc_dimension(S: SignMatrix) -> int:
     size stops at its first witness, and gives up with SizeLimitError after
     examining SUBSET_BUDGET subsets without one. Practical range: VC
     dimension plus dual sign rank of a 57x57 projective plane (p=7) take
-    about 5 ms, and of the 183x183 plane (p=13) about 0.1 s, almost all of
-    it the moment products that show no triple is shattered; a level past
+    about 2 ms, and of the 183x183 plane (p=13) about 20 ms; a level past
     two million subsets is refused only when no witness comes among the
-    first two million, as for disjointness(6), refused after about 0.1 s.
+    first two million, as for disjointness(6), refused after about 0.15 s.
     """
     bits = _bit_columns(S)
     packed = _packed(bits)
     m, rows = bits.shape
     hi = min(m, rows.bit_length() - 1)
     for k in range(1, hi + 1):
-        if not _some_shattered(bits, packed, k, antipodal=False):
+        if not _some_shattered(packed, k, antipodal=False):
             return k - 1
     return hi
 
@@ -351,7 +286,7 @@ def vc_at_most(bits: np.ndarray, d: int) -> np.ndarray:
     m, rows = bits.shape[-2:]
     if d + 1 > min(m, rows.bit_length() - 1):
         return np.ones(bits.shape[:-2], dtype=bool)
-    return ~_some_shattered(bits, _packed(bits), d + 1, antipodal=False)
+    return ~_some_shattered(_packed(bits), d + 1, antipodal=False)
 
 
 def dual_sign_rank(S: SignMatrix, vc: int | None = None) -> int:
@@ -374,8 +309,8 @@ def dual_sign_rank(S: SignMatrix, vc: int | None = None) -> int:
         # witness, and a scan within the budget would find it.
         if vc is not None and k <= vc and math.comb(m, k) <= SUBSET_BUDGET:
             continue
-        over_vc = vc is None and k % 2 == 0 and not _some_shattered(bits, packed, k // 2, antipodal=False)
-        if over_vc or not _some_shattered(bits, packed, k, antipodal=True):
+        over_vc = vc is None and k % 2 == 0 and not _some_shattered(packed, k // 2, antipodal=False)
+        if over_vc or not _some_shattered(packed, k, antipodal=True):
             return k - 1
     return hi
 

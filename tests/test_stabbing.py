@@ -493,8 +493,7 @@ def test_welzl_edges_do_not_depend_on_blas_threads():
     """Exact tie sets: one and two BLAS threads give the same trees, also
     through the float32 Hamming product and the admission of several
     distance levels (interval_class(5), 497 rows). The VC dimension and
-    dual sign rank, decided by moment products on pairs and triples, agree
-    too."""
+    dual sign rank agree too."""
     code = (
         "import json, numpy as np\n"
         "from signrank import distinct_rows, dual_sign_rank, grid_hyperplane,"

@@ -396,56 +396,10 @@ def test_concept_class_requires_distinct_rows():
         ConceptClass(SignMatrix([[1, 1], [1, 1]]))
 
 
-def _moment_only(monkeypatch):
-    """Send every eligible level straight to the moment path and record the
-    (k, antipodal, answer) of each moment call."""
-    monkeypatch.setattr(vc, "_MOMENT_CELLS", 0)
-    monkeypatch.setattr(vc, "_MOMENT_HEAD", 0)
-    calls = []
-    original = vc._moment_shattered
-
-    def spy(bits, k, antipodal):
-        calls.append((k, antipodal, original(bits, k, antipodal)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(vc, "_moment_shattered", spy)
-    return calls
-
-
-def test_moment_path_matches_kernel(monkeypatch):
-    # Each matrix draws its own density of +1 entries, so that sparse and
-    # dense matrices miss some patterns; 2 to 7 rows are fewer than 2^3.
-    calls = _moment_only(monkeypatch)
-    rng = np.random.default_rng(47)
-    answers = set()
-    for _ in range(420):
-        rows, cols = int(rng.integers(2, 41)), int(rng.integers(3, 15))
-        S = SignMatrix(np.where(rng.random((rows, cols)) < rng.random(), 1, -1))
-        bits = vc._bit_columns(S)
-        packed = vc._packed(bits)
-        for k in (2, 3):
-            for antipodal in (False, True):
-                want = bool(vc._scan(packed, k, antipodal, math.comb(cols, k)))
-                assert bool(vc._some_shattered(bits, packed, k, antipodal)) == want
-                assert calls.pop() == (k, antipodal, want)
-                answers.add((k, antipodal, want))
-    assert len(answers) == 8
-
-
-def test_moment_path_matches_bruteforce(monkeypatch):
-    calls = _moment_only(monkeypatch)
-    for S in kernel_cases():
-        check_kernel_against_brute(S)
-    assert {(k, antipodal) for k, antipodal, _ in calls} == {
-        (2, False), (2, True), (3, False), (3, True)
-    }
-
-
-def test_moment_path_keeps_the_budget(monkeypatch):
+def test_kernel_keeps_the_budget(monkeypatch):
     # Columns 59..63 are shattered; with the budget at C(64, 2) the pairs
-    # are scanned in full, and C(64, 3) triples exceed it, so the triples
-    # stay with the kernel and are refused as before, although their
-    # 41664 x 32 cells would take the moment path under the default budget.
+    # are scanned in full, and the C(64, 3) triples exceed it and hold no
+    # witness among the first 2016, so they are refused.
     monkeypatch.setattr(vc, "SUBSET_BUDGET", math.comb(64, 2))
     with pytest.raises(SizeLimitError) as refused:
         vc_dimension(_shattered_block(59))
@@ -455,53 +409,34 @@ def test_moment_path_keeps_the_budget(monkeypatch):
     )
 
 
-def test_moment_path_decides_a_level_within_budget(monkeypatch):
+def test_kernel_decides_a_level_within_budget(monkeypatch):
     # interval_class(5) has VC dimension 2: no triple of its 31 columns is
     # shattered, and C(31, 3) = 4495 triples fit a budget of 4495 exactly.
     S = interval_class(5).matrix
-    calls = []
-    original = vc._moment_shattered
-    monkeypatch.setattr(
-        vc, "_moment_shattered",
-        lambda bits, k, antipodal: calls.append(k) or original(bits, k, antipodal),
-    )
     monkeypatch.setattr(vc, "SUBSET_BUDGET", math.comb(31, 3))
     assert vc_dimension(S) == 2
-    assert calls == [3]
     monkeypatch.setattr(vc, "SUBSET_BUDGET", math.comb(31, 3) - 1)
     with pytest.raises(SizeLimitError, match="examined 4494 of 4495 column subsets of size 3"):
         vc_dimension(S)
-    assert calls == [3]
-
-
-def test_moment_path_skips_census_stacks(monkeypatch):
-    rng = np.random.default_rng(53)
-    stack = np.stack([
-        vc._bit_columns(SignMatrix(np.unique(random_sign_matrix(rng, 24, 7).entries, axis=0)[:10]))
-        for _ in range(20)
-    ])
-    want = {d: [vc_dimension(SignMatrix(2 * b.T - 1)) <= d for b in stack] for d in (1, 2)}
-    calls = _moment_only(monkeypatch)
-    for d in (1, 2):
-        assert vc.vc_at_most(stack, d).tolist() == want[d]
-    assert calls == []
 
 
 def test_vc1_pair_scan_is_bounded_by_work(monkeypatch):
-    # No pair of the 1000 columns is shattered. The moment products decide
-    # the C(1000, 2) pairs, and the kernel sees only the first _MOMENT_HEAD.
+    # No pair of the 1000 columns is shattered, and every prefix (one
+    # column) has a pattern mask of one row, so every pair is passed over
+    # with its prefix; the refusal still comes exactly at the budget edge.
     S = signed_identity(1000)
-    handed = []
-    original = vc._scan
-    monkeypatch.setattr(
-        vc, "_scan",
-        lambda packed, k, antipodal, limit: handed.append((limit, k)) or original(packed, k, antipodal, limit),
-    )
     assert vc_dimension(S) == 1
-    assert 0 < sum(n for n, k in handed if k == 2) <= vc._MOMENT_HEAD
-    handed.clear()
     assert dual_sign_rank(S, vc=1) == 3
-    assert 0 < sum(n for n, k in handed if k == 2) <= vc._MOMENT_HEAD
+    pairs = math.comb(1000, 2)
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", pairs)
+    assert vc_dimension(S) == 1
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", pairs - 1)
+    with pytest.raises(SizeLimitError) as refused:
+        vc_dimension(S)
+    assert str(refused.value) == (
+        f"examined {pairs - 1} of {pairs} column subsets of size 2 without an answer, "
+        f"the budget of {pairs - 1}; this input is too large for the exact search"
+    )
 
 
 def first_witness(S, k, antipodal):
@@ -528,9 +463,8 @@ def level_answer(S, k, antipodal, budget):
 
 
 def scanned_answer(S, k, antipodal):
-    bits = vc._bit_columns(S)
     try:
-        return bool(vc._some_shattered(bits, vc._packed(bits), k, antipodal))
+        return bool(vc._some_shattered(vc._packed(vc._bit_columns(S)), k, antipodal))
     except SizeLimitError as refused:
         return str(refused)
 
