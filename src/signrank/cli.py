@@ -1,10 +1,12 @@
 """Command line front end: generate matrices, compute certificates, emit
 reproducible JSON reports.
 
-Exit codes: 0 success, 2 input error, 3 size-limit rejection (a census or
-a generator too large), 4 a certificate was refused, by its verifier or its
-budget (the VC or dual search of `analyze`, `bounds` or `path`), and was
-left out (listed under `skipped`); exit 4 is read off the report alone.
+Exit codes: 0 success, 2 input error (an unreadable or malformed matrix,
+bad flags, or an `--out` that cannot be written), 3 size-limit rejection (a
+census or a generator too large), 4 a certificate was refused, by its
+verifier or its budget (the VC or dual search of `analyze`, `bounds` or
+`path`), and was left out (listed under `skipped`); exit 4 is read off the
+report alone.
 """
 
 from __future__ import annotations
@@ -43,34 +45,42 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(doc, out_path: str | None, fmt: str) -> None:
+def _report(args, doc: dict, skipped: list[tuple[str, str]]) -> int:
+    """Write the report doc in args.format, with each refused certificate of
+    skipped, a (method, reason) pair, listed under `skipped`. The exit code
+    is 4 exactly when one was refused."""
+    if skipped:
+        doc["skipped"] = [{"method": m, "reason": r} for m, r in skipped]
     doc = _round_floats(doc)
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        lines = []
-        for key, value in sorted(doc.items()):
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True)
-            lines.append(f"{key} = {value}\n")
-        text = "".join(lines)
-    _write_text(text, out_path)
+        text = "".join(
+            f"{k} = {json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}\n"
+            for k, v in sorted(doc.items())
+        )
+    _write_text(text, args.out)
+    return EXIT_UNCERTIFIED if skipped else EXIT_OK
 
 
 def _write_text(text: str, out_path: str | None) -> None:
+    """Write text to stdout, or atomically to out_path through a temporary
+    file beside it. A path that cannot be written is an input error."""
     if out_path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".signrank-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".signrank-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, out_path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _load_matrix(path: str):
@@ -82,16 +92,28 @@ def _load_matrix(path: str):
     return parse_sign_matrix(text)
 
 
-# Each `gen` generator and the flags it needs.
+def _intervals(args):
+    orders = None
+    if args.planted:
+        plane = generators.ProjectiveSpace.build(args.p, 2)
+        orders = generators.planted_line_orders(plane, np.random.default_rng(args.seed))
+    return generators.interval_class(args.p, orders).matrix
+
+
+# Each `gen` generator: the flags it needs, and its builder from the parsed
+# arguments. A builder that draws makes its own generator from --seed.
 _GENERATORS = {
-    "signed-identity": ("n",),
-    "disjointness": ("n",),
-    "projective": ("p",),
-    "hamming-ball": ("n", "d"),
-    "grid": ("n", "d"),
-    "intervals": ("p",),
-    "line-subset": ("p",),
-    "heavy-free": ("n", "d"),
+    "signed-identity": (("n",), lambda a: generators.signed_identity(a.n)),
+    "disjointness": (("n",), lambda a: generators.disjointness(a.n)),
+    "projective": (("p",), lambda a: generators.projective_incidence(
+        a.p, 2 if a.d is None else a.d)),
+    "hamming-ball": (("n", "d"), lambda a: generators.hamming_ball(a.n, a.d).matrix),
+    "grid": (("n", "d"), lambda a: generators.grid_hyperplane(a.n, a.d)),
+    "intervals": (("p",), _intervals),
+    "line-subset": (("p",), lambda a: generators.line_subset_random(
+        a.p, np.random.default_rng(a.seed))),
+    "heavy-free": (("n", "d"), lambda a: generators.heavy_dominant_free_random(
+        a.n, a.d, np.random.default_rng(a.seed))),
 }
 
 
@@ -146,39 +168,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, names: tuple[str, ...]) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError(
-            f"generator {args.generator!r} needs --" + ", --".join(missing)
-        )
-
-
 def _cmd_gen(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    name = args.generator
-    _require(args, _GENERATORS[name])
-    if name == "signed-identity":
-        matrix = generators.signed_identity(args.n)
-    elif name == "disjointness":
-        matrix = generators.disjointness(args.n)
-    elif name == "projective":
-        matrix = generators.projective_incidence(args.p, 2 if args.d is None else args.d)
-    elif name == "hamming-ball":
-        matrix = generators.hamming_ball(args.n, args.d).matrix
-    elif name == "grid":
-        matrix = generators.grid_hyperplane(args.n, args.d)
-    elif name == "intervals":
-        orders = None
-        if args.planted:
-            plane = generators.ProjectiveSpace.build(args.p, 2)
-            orders = generators.planted_line_orders(plane, rng)
-        matrix = generators.interval_class(args.p, orders).matrix
-    elif name == "line-subset":
-        matrix = generators.line_subset_random(args.p, rng)
-    else:  # heavy-free
-        matrix = generators.heavy_dominant_free_random(args.n, args.d, rng)
-    _write_text(matrix.to_text(), args.out)
+    flags, build = _GENERATORS[args.generator]
+    missing = [f for f in flags if getattr(args, f) is None]
+    if missing:
+        raise ValueError(f"generator {args.generator!r} needs --" + ", --".join(missing))
+    _write_text(build(args).to_text(), args.out)
     return EXIT_OK
 
 
@@ -193,8 +188,7 @@ def _cmd_analyze(args) -> int:
     )
     doc = report.to_json_dict()
     doc["approx_sign_rank"] = report.welzl_max_sc + 1
-    _emit(doc, args.out, args.format)
-    return EXIT_UNCERTIFIED if report.skipped else EXIT_OK
+    return _report(args, doc, report.skipped)
 
 
 def _cmd_path(args) -> int:
@@ -207,6 +201,7 @@ def _cmd_path(args) -> int:
         "method": method,
         "max_sign_changes": ordering.max_sign_changes,
     }
+    skipped = []  # the order stands without the VC dimension
     if args.command == "approx":
         doc["approx_sign_rank"] = ordering.max_sign_changes + 1
     else:
@@ -216,7 +211,6 @@ def _cmd_path(args) -> int:
             permutation=list(ordering.permutation),
             sign_changes=list(ordering.sign_changes),
         )
-        skipped = []  # the order stands without the VC dimension
         vc = certify("vc", lambda: vc_dimension(Sd), skipped)
         if vc is not None:
             doc["vc"] = vc
@@ -224,10 +218,7 @@ def _cmd_path(args) -> int:
             doc["x_log"] = [float(x) for x in state.x_log]
             if vc is not None:
                 doc["constant_observed"] = ordering.constant(vc)
-        if skipped:
-            doc["skipped"] = [{"method": m, "reason": r} for m, r in skipped]
-    _emit(doc, args.out, args.format)
-    return EXIT_UNCERTIFIED if "skipped" in doc else EXIT_OK
+    return _report(args, doc, skipped)
 
 
 # Report keys in `bounds` of the methods of `lower_certificates`.
@@ -256,10 +247,7 @@ def _cmd_bounds(args) -> int:
     if info.degree is not None:
         doc["sigma2_trace_floor"] = sigma2_trace_floor(B)
         doc["regular_upper_bound"] = regular_upper_bound(S)
-    if skipped:
-        doc["skipped"] = [{"method": _BOUNDS_KEYS[m], "reason": r} for m, r in skipped]
-    _emit(doc, args.out, args.format)
-    return EXIT_UNCERTIFIED if skipped else EXIT_OK
+    return _report(args, doc, [(_BOUNDS_KEYS[m], r) for m, r in skipped])
 
 
 def _cmd_enumerate(args) -> int:
@@ -267,16 +255,14 @@ def _cmd_enumerate(args) -> int:
         if args.size is None:
             raise ValueError("--sample needs --size (the class size to draw)")
         rng = np.random.default_rng(args.seed)
-        estimate = census.sample_census(args.n, args.d, args.size, args.samples, rng)
-        _emit(dataclasses.asdict(estimate), args.out, args.format)
-        return EXIT_OK
-    if args.n > census.MAX_EXACT_N:
+        result = census.sample_census(args.n, args.d, args.size, args.samples, rng)
+    elif args.n > census.MAX_EXACT_N:
         raise SizeLimitError(
             f"exact census supports n <= {census.MAX_EXACT_N}; rerun with --sample"
         )
-    result = census.enumerate_census(args.n, args.d)
-    _emit(dataclasses.asdict(result), args.out, args.format)
-    return EXIT_OK
+    else:
+        result = census.enumerate_census(args.n, args.d)
+    return _report(args, dataclasses.asdict(result), [])
 
 
 _COMMANDS = {

@@ -63,10 +63,7 @@ def count_sign_changes(S: SignMatrix, perm: Sequence[int]) -> RowOrdering:
     if sorted(perm) != list(range(S.n_rows)):
         raise ValueError("perm is not a permutation of the row indices")
     data = S.entries[list(perm)]
-    if len(perm) < 2:
-        changes = tuple(0 for _ in range(S.n_cols))
-    else:
-        changes = tuple(int(c) for c in (data[1:] != data[:-1]).sum(axis=0))
+    changes = tuple(int(c) for c in (data[1:] != data[:-1]).sum(axis=0))
     return RowOrdering(perm, changes, max(changes))
 
 

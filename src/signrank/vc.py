@@ -30,10 +30,10 @@ SUBSET_BUDGET = 2_000_000
 
 # Cells per batch of the shattering kernel (stacked matrices x sets x
 # pattern masks x 64-bit words, or x columns for the index arrays of a batch
-# of prefixes) and of max_projections (subsets x distinct rows). Each 8-byte
-# temporary of a batch then takes at most 128 KiB, which malloc serves from
-# reused heap memory; larger ones are mapped afresh for each batch, and
-# their page faults made scans up to twice as slow.
+# of prefixes) and of max_projections (subsets x distinct rows, or x
+# columns). Each 8-byte temporary of a batch then takes at most 128 KiB,
+# which malloc serves from reused heap memory; larger ones are mapped afresh
+# for each batch, and their page faults made scans up to twice as slow.
 _BATCH_CELLS = 1 << 14
 
 ColumnSet = tuple[int, ...]
@@ -103,24 +103,6 @@ def _refusal(m: int, k: int) -> SizeLimitError:
         f"of size {k} without an answer, the budget of {SUBSET_BUDGET}; "
         "this input is too large for the exact search"
     )
-
-
-def _batches(bits: np.ndarray, k: int) -> Iterator[np.ndarray]:
-    """The k-subsets of the columns of bits (columns x rows) in
-    lexicographic order, in batches of at most _BATCH_CELLS cells (subsets
-    x rows, or x k when k is the larger). Raises SizeLimitError when
-    SUBSET_BUDGET subsets have been handed out and more remain, so a caller
-    that stops early is never refused."""
-    m, rows = bits.shape
-    examined = 0
-    for C in _subsets(m, k, max(1, _BATCH_CELLS // max(rows, k))):
-        left = SUBSET_BUDGET - examined
-        if len(C) > left:
-            if left:
-                yield C[:left]
-            raise _refusal(m, k)
-        examined += len(C)
-        yield C
 
 
 def _packed(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,18 +364,25 @@ def is_cube_connected(C: ConceptClass) -> bool:
 
 def max_projections(S: SignMatrix, t: int) -> int:
     """Maximum, over all t-column sets, of the number of distinct row
-    projections; this evaluates the primal shatter function at t. The scan
-    stops once some set reaches min(2^t, distinct rows), and is bounded by
-    SUBSET_BUDGET like the shattering searches."""
+    projections; this evaluates the primal shatter function at t. The
+    t-sets are walked in the kernel's lexicographic prefix batches, and the
+    scan stops once some set reaches min(2^t, distinct rows). Like
+    _some_shattered it examines at most SUBSET_BUDGET sets, and raises
+    SizeLimitError when C(m, t) > SUBSET_BUDGET and none reached the cap."""
     if t < 1 or t > S.n_cols:
         raise ValueError(f"t must be between 1 and {S.n_cols}")
     bits = _bit_columns(S)
-    cap = min(1 << t, bits.shape[1])
-    best = 0
-    for C in _batches(bits, t):
+    m, rows = bits.shape
+    cap = min(1 << t, rows)
+    best = examined = 0
+    for C in _prefixes(m, t, max(1, _BATCH_CELLS // max(m, rows))):
+        if best == cap or examined == SUBSET_BUDGET:
+            break
+        C = C[:SUBSET_BUDGET - examined]
+        examined += len(C)
         ids = np.sort(_pattern_ids(bits, C), axis=1)
         counts = 1 + (ids[:, 1:] != ids[:, :-1]).sum(axis=1)
         best = max(best, int(counts.max()))
-        if best == cap:
-            break
+    if best < cap and math.comb(m, t) > SUBSET_BUDGET:
+        raise _refusal(m, t)
     return best

@@ -124,6 +124,25 @@ def test_analyze_rejects_negative_budget(tmp_path, capsys):
     assert out == "" and "budget" in err
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.json", "No such file or directory"),  # no such directory
+    ("taken", "Is a directory"),  # an existing directory
+])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, target, reason):
+    """An --out that cannot be written exits 2 with one line on stderr,
+    writes nothing to stdout and leaves no temporary file behind."""
+    matrix = tmp_path / "id3.txt"
+    assert main(["gen", "signed-identity", "--n", "3", "--out", str(matrix)]) == 0
+    (tmp_path / "taken").mkdir()
+    out = tmp_path / target
+    code, stdout, err = run_cli(capsys, "analyze", str(matrix), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: cannot write {out}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["id3.txt", "taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
 def test_analyze_parse_error_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("+-\n+x\n")

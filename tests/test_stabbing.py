@@ -62,6 +62,9 @@ def test_count_sign_changes_single_column():
     ordering = count_sign_changes(S, (0, 1, 2, 3, 4))
     assert ordering.sign_changes == (2,)
     assert count_sign_changes(SignMatrix([[1], [1], [1]]), (0, 1, 2)).max_sign_changes == 0
+    # one row: no consecutive pair, so no column changes sign
+    one = count_sign_changes(SignMatrix([[1, -1, 1]]), (0,))
+    assert (one.sign_changes, one.max_sign_changes) == ((0, 0, 0), 0)
 
 
 def test_count_sign_changes_signed_identity():

@@ -269,6 +269,22 @@ def test_max_projections_size_limit(monkeypatch):
     monkeypatch.setattr(vc, "_BATCH_CELLS", 5 * 32)
     with pytest.raises(SizeLimitError, match="examined 7 of 64"):
         max_projections(_shattered_block(59), 1)
+    # The budget cuts the last batch: column 59 is the 60th set, a witness
+    # at a budget of 60 and refused at 59, with and without tiny batches.
+    for cells in (1 << 14, 5 * 32):
+        monkeypatch.setattr(vc, "_BATCH_CELLS", cells)
+        monkeypatch.setattr(vc, "SUBSET_BUDGET", 60)
+        assert max_projections(_shattered_block(59), 1) == 2
+        monkeypatch.setattr(vc, "SUBSET_BUDGET", 59)
+        with pytest.raises(SizeLimitError, match="examined 59 of 64"):
+            max_projections(_shattered_block(59), 1)
+    # Pairs come in prefix batches: (59, 60) is pair number 2007 of C(64, 2)
+    # = 2016, the first with four projections.
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 2007)
+    assert max_projections(_shattered_block(59), 2) == 4
+    monkeypatch.setattr(vc, "SUBSET_BUDGET", 2006)
+    with pytest.raises(SizeLimitError, match="examined 2006 of 2016"):
+        max_projections(_shattered_block(59), 2)
     # A budget that covers every subset is never exceeded, even when the
     # whole size is scanned without a witness: no 2-set of the signed
     # identity is shattered, and it has C(4, 2) = 6 of them.
