@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import census, generators
-from .embed import certify, lower_certificates, signrank_bracket
+from .embed import certify, lower_certificates, signrank_bracket, skipped_entries
 from .errors import MatrixFormatError, SizeLimitError
 from .matrix import parse_sign_matrix, regularity, to_boolean, distinct_rows
 from .spectral import regular_upper_bound, sigma2_trace_floor, star_norm_floor, top_singular_values
@@ -50,7 +50,7 @@ def _report(args, doc: dict, skipped: list[tuple[str, str]]) -> int:
     skipped, a (method, reason) pair, listed under `skipped`. The exit code
     is 4 exactly when one was refused."""
     if skipped:
-        doc["skipped"] = [{"method": m, "reason": r} for m, r in skipped]
+        doc["skipped"] = skipped_entries(skipped)
     doc = _round_floats(doc)
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -84,7 +84,7 @@ class BoundReport:
         }
         doc.update((k, v) for k, v in (("vc", self.vc), ("dual", self.dual)) if v is not None)
         if self.skipped:
-            doc["skipped"] = [{"method": m, "reason": r} for m, r in self.skipped]
+            doc["skipped"] = skipped_entries(self.skipped)
         return doc
 
 
@@ -265,6 +265,12 @@ def approx_sign_rank(S: SignMatrix, rng: np.random.Generator | None = None) -> i
     return ordering.max_sign_changes + 1
 
 
+def skipped_entries(skipped: list[tuple[str, str]]) -> list[dict]:
+    """The report form of refused certificates: {"method", "reason"} for
+    each (method, reason) pair that `certify` listed."""
+    return [{"method": m, "reason": r} for m, r in skipped]
+
+
 def certify(method: str, certificate, skipped: list[tuple[str, str]]):
     """The value of `certificate()`, or None when it is refused: over its
     budget (SizeLimitError) or not verified (CertificationError). A refused
@@ -304,6 +310,13 @@ def lower_certificates(S: SignMatrix) -> tuple[int | None, int | None, list, lis
     return vc, dual, lower, skipped
 
 
+def _same_rows(A: SignMatrix, B: SignMatrix) -> bool:
+    """Whether two distinct-row matrices have the same set of rows."""
+    return A.shape == B.shape and (
+        {r.tobytes() for r in A.entries} == {r.tobytes() for r in B.entries}
+    )
+
+
 def signrank_bracket(
     S: SignMatrix,
     rng: np.random.Generator | None = None,
@@ -316,10 +329,15 @@ def signrank_bracket(
     1. Upper bounds: one plus the sign changes of a low-stabbing path, three
     when that path is the VC-1 sort, as it always is at VC dimension at most
     one (a planar embedding along its order, once verified), 2*degree + 1 for
-    regular matrices, min(rows, cols) of the distinct rows (sign rank is at
+    regular matrices, min(distinct rows, distinct columns) (sign rank is at
     most rank), and any verified factorization found at the current lower
-    end. A failed factorization search never moves the lower end, and a
-    refused certificate is left out and listed in `skipped`. A negative
+    end. Sign rank is invariant under transposition, so a column order with
+    few sign changes in every row bounds it too ("path_cols_*", drawn from
+    `rng.spawn(1)[0]`, which leaves `rng` where it was); it is skipped when
+    the distinct columns are the distinct rows as a set, as on symmetric
+    matrices, where it would repeat the row path's work. A failed
+    factorization search never moves the lower end, and a refused
+    certificate is left out and listed in `skipped`. A negative
     `hinge_alternations` raises ValueError even when no search runs.
     """
     if hinge_alternations < 0:
@@ -327,6 +345,7 @@ def signrank_bracket(
     if rng is None:
         rng = np.random.default_rng(0)
     Sd = distinct_rows(S)
+    Std = distinct_rows(SignMatrix(Sd.entries.T))
     vc, dual, lower, skipped = lower_certificates(S)
 
     upper: list[tuple[str, int]] = []
@@ -338,9 +357,12 @@ def signrank_bracket(
             upper.append(("planar_embedding", 3))
     elif vc is not None:
         welzl_constant = ordering.constant(vc)
+    if not _same_rows(Std, Sd):
+        cols, cols_method, _ = low_stabbing_order(Std, rng.spawn(1)[0])
+        upper.append((f"path_cols_{cols_method}", cols.max_sign_changes + 1))
     if regularity(to_boolean(S)).degree is not None:
         upper.append(("regular_degree", regular_upper_bound(S)))
-    upper.append(("trivial", min(Sd.n_rows, Sd.n_cols)))
+    upper.append(("trivial", min(Sd.n_rows, Std.n_rows)))
 
     lo = max(1, integer_certificate(max((v for _, v in lower), default=1)))
     hi = min(v for _, v in upper)

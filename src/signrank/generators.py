@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,15 @@ from .vc import ConceptClass
 
 # Most points of a projective space: P @ P^T in int64 then takes 128 MiB.
 _MAX_POINTS = 4096
+# Most cells of any generated matrix, checked from the parameters before
+# anything is built: the same 128 MiB for an int64 intermediate. Callers
+# clamp exponents past the cap, so a huge parameter costs nothing to refuse.
+_MAX_CELLS = _MAX_POINTS**2
+
+
+def _check_size(cells: int, what: str) -> None:
+    if cells > _MAX_CELLS:
+        raise SizeLimitError(f"{what} has more than {_MAX_CELLS} cells")
 
 
 def _is_prime(n: int) -> bool:
@@ -62,12 +72,16 @@ class ProjectiveSpace:
     def n_points(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        return np.array(self.points)
+
     def incidence_boolean(self) -> BooleanMatrix:
-        P = np.array(self.points)
+        P = self._coords
         return BooleanMatrix((P @ P.T % self.order == 0).astype(np.int8))
 
     def hyperplane_points(self, hyper_index: int) -> tuple[int, ...]:
-        P = np.array(self.points)
+        P = self._coords
         return tuple(np.flatnonzero(P @ P[hyper_index] % self.order == 0).tolist())
 
 
@@ -75,6 +89,7 @@ def signed_identity(n: int) -> SignMatrix:
     """+1 on the diagonal, -1 everywhere else."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_size(n * n, f"signed_identity({n})")
     data = np.full((n, n), -1, dtype=np.int8)
     np.fill_diagonal(data, 1)
     return SignMatrix(data)
@@ -85,6 +100,7 @@ def disjointness(n: int) -> SignMatrix:
     is +1 iff the row and column subsets intersect."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_size(4 ** min(n, 13), f"disjointness({n})")
     masks = np.arange(1 << n)
     inter = (masks[:, None] & masks[None, :]) != 0
     return SignMatrix(np.where(inter, 1, -1).astype(np.int8))
@@ -107,6 +123,10 @@ def hamming_ball(n: int, d: int) -> ConceptClass:
     enumerated in increasing binary order."""
     if d < 0 or d > n:
         raise ValueError(f"radius d={d} must be between 0 and n={n}")
+    rows = 0
+    for w in range(d + 1):
+        rows += math.comb(n, w)
+        _check_size(rows * n, f"hamming_ball({n}, {d})")
     masks = sorted(
         sum(1 << j for j in combo)
         for w in range(d + 1)
@@ -127,6 +147,7 @@ def grid_hyperplane(n: int, d: int) -> SignMatrix:
         raise ValueError("n must be at least 2")
     if d < 1:
         raise ValueError("d must be at least 1")
+    _check_size(n ** min(d, 25) * d * (n - 1), f"grid_hyperplane({n}, {d})")
     points = np.indices((n,) * d).reshape(d, -1).T + 1
     above = points[:, :, None] > np.arange(1, n)
     return SignMatrix(np.where(above.reshape(len(points), -1), 1, -1))
@@ -162,10 +183,11 @@ def interval_class(
     1 + N + C(N, 2) members with N = p^2 + p + 1.
     """
     plane = ProjectiveSpace.build(p, 2)
+    n = plane.n_points
+    _check_size((1 + n + math.comb(n, 2)) * n, f"interval_class({p})")
     lines = default_line_orders(plane)
     if orders is None:
         orders = lines
-    n = plane.n_points
     if len(orders) != n:
         raise ValueError("need one order per line")
     for h, order in enumerate(orders):

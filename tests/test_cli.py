@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +43,26 @@ def test_gen_projective_size_limit(capsys):
     code, out, err = run_cli(capsys, "gen", "projective", "--p", "3", "--d", "40")
     assert code == 3
     assert out == "" and "at most 4096" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("intervals", "--p", "61"),
+        ("signed-identity", "--n", "4097"),
+        ("disjointness", "--n", "40"),
+        ("grid", "--n", "100", "--d", "5"),
+        ("hamming-ball", "--n", "60", "--d", "30"),
+    ],
+)
+def test_gen_size_limit_from_parameters(capsys, argv):
+    """Every generator refuses an output over 4096^2 cells from its
+    parameters alone, before it allocates anything."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 3
+    assert out == "" and "cells" in err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_gen_rejects_non_prime(capsys):

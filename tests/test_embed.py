@@ -8,7 +8,9 @@ from signrank import (
     FactorizationWitness,
     PlanarRealization,
     SignMatrix,
+    count_sign_changes,
     disjointness,
+    distinct_rows,
     embed_vc1,
     approx_sign_rank,
     grid_hyperplane,
@@ -16,6 +18,8 @@ from signrank import (
     heavy_dominant_free_random,
     hinge_search_upper,
     interval_class,
+    line_subset_random,
+    low_stabbing_order,
     projective_incidence,
     sc_star_bruteforce,
     signed_identity,
@@ -367,11 +371,17 @@ def test_hinge_search_keeps_restarts_near_a_realization(monkeypatch):
 )
 def test_bracket_keeps_factorization_witnesses(S):
     """Retiring restarts that make no progress loses none of these rank-lo
-    witnesses at rng seeds 0-3."""
+    witnesses at rng seeds 0-3. The search runs on the rng the bracket hands
+    it, after the row path: on the grids a column path may close the
+    bracket first, so the bracket alone would not show a lost witness."""
+    Sd = distinct_rows(S)
     for seed in range(4):
-        report = signrank_bracket(S, np.random.default_rng(seed))
-        lo, hi = report.bracket
-        assert lo == hi and ("factorization", lo) in report.upper_bounds
+        lo, hi = signrank_bracket(S, np.random.default_rng(seed)).bracket
+        assert lo == hi
+        rng = np.random.default_rng(seed)
+        low_stabbing_order(Sd, rng)
+        witness = hinge_search_upper(Sd, lo, rng)
+        assert witness is not None and verify_realization(witness, Sd)
 
 
 @pytest.mark.parametrize("draw, seed", [(2, 15), (5, 17), (6, 10)])
@@ -395,21 +405,94 @@ def test_hinge_search_rejects_negative_budget():
 
 
 @pytest.mark.parametrize(
-    "S, path, trivial",
+    "S, path, trivial, cols",
     [
-        (interval_class(3).matrix, 15, 13),
-        (hamming_ball(8, 2).matrix, 11, 8),
-        (hamming_ball(10, 2).matrix, 13, 10),
-        (hamming_ball(12, 2).matrix, 15, 12),
+        pytest.param(interval_class(3).matrix, 15, 13, 9, id="S0-15-13"),
+        pytest.param(hamming_ball(8, 2).matrix, 11, 8, 5, id="S1-11-8"),
+        pytest.param(hamming_ball(10, 2).matrix, 13, 10, 5, id="S2-13-10"),
+        pytest.param(hamming_ball(12, 2).matrix, 15, 12, 5, id="S3-15-12"),
     ],
 )
-def test_bracket_trivial_ceiling(S, path, trivial):
+def test_bracket_trivial_ceiling(S, path, trivial, cols):
     """Sign rank is at most min(rows, cols) of the distinct rows, below the
-    Welzl path's bound on these tall matrices."""
+    Welzl path's bound on these tall matrices; an order of their few columns
+    does better still, and closes the Hamming balls at the dual."""
     report = signrank_bracket(S, np.random.default_rng(0))
     assert ("path_welzl", path) in report.upper_bounds
     assert ("trivial", trivial) in report.upper_bounds
-    assert report.bracket == (5, trivial)
+    assert ("path_cols_welzl", cols) in report.upper_bounds
+    assert report.bracket == (5, cols)
+
+
+def test_column_path_closes_hamming_ball_without_search(monkeypatch):
+    """The column order closes hamming_ball(8, 2) at the dual's 5, so no
+    factorization is searched."""
+    from signrank import embed
+
+    calls = []
+    monkeypatch.setattr(embed, "hinge_search_upper", lambda *a, **k: calls.append(a))
+    report = signrank_bracket(hamming_ball(8, 2).matrix, np.random.default_rng(0))
+    assert report.bracket == (5, 5)
+    assert ("path_cols_welzl", 5) in report.upper_bounds
+    assert calls == []
+
+
+@pytest.mark.parametrize("S", [projective_incidence(3), disjointness(4), signed_identity(8)])
+def test_symmetric_matrix_computes_no_column_order(monkeypatch, S):
+    """When the distinct columns are the distinct rows as a set, the column
+    order would repeat the row path, so only the row order is computed."""
+    from signrank import embed
+
+    orders = []
+    original = embed.low_stabbing_order
+
+    def counting(M, rng):
+        orders.append(M.shape)
+        return original(M, rng)
+
+    monkeypatch.setattr(embed, "low_stabbing_order", counting)
+    report = signrank_bracket(S, np.random.default_rng(0))
+    assert orders == [S.shape]
+    assert not any(m.startswith("path_cols") for m, _ in report.upper_bounds)
+
+
+def test_spawn_leaves_the_parent_stream():
+    """The column order draws from a spawned child, so the row path and the
+    hinge search draw what they drew before it existed."""
+    rng, fresh = np.random.default_rng(5), np.random.default_rng(5)
+    rng.spawn(1)
+    assert rng.standard_normal(4).tolist() == fresh.standard_normal(4).tolist()
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        interval_class(3).matrix,
+        grid_hyperplane(6, 3),
+        hamming_ball(8, 2).matrix,
+        line_subset_random(3, np.random.default_rng(1)),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_column_path_value_is_counted_on_the_transpose(S, seed):
+    """The reported column bound is one plus the sign changes, counted
+    afresh, of the column order in every row of the distinct rows."""
+    Sd = distinct_rows(S)
+    Std = distinct_rows(SignMatrix(Sd.entries.T))
+    report = signrank_bracket(S, np.random.default_rng(seed))
+    (value,) = [v for m, v in report.upper_bounds if m.startswith("path_cols_")]
+    ordering, _, _ = low_stabbing_order(Std, np.random.default_rng(seed).spawn(1)[0])
+    assert value == count_sign_changes(Std, ordering.permutation).max_sign_changes + 1
+    assert report.bracket[0] <= value
+
+
+def test_trivial_reads_distinct_columns():
+    """Sign rank is at most the rank, so at most the number of distinct
+    columns as well as of distinct rows."""
+    H = hamming_ball(4, 2).matrix.entries
+    report = signrank_bracket(SignMatrix(np.hstack((H, H))), np.random.default_rng(0))
+    assert report.n_cols == 8
+    assert ("trivial", 4) in report.upper_bounds
 
 
 def test_bracket_signed_identity():

@@ -285,3 +285,18 @@ PINNED = {
 def test_generator_output_is_pinned(name):
     build, digest = PINNED[name]
     assert hashlib.sha256(build().to_text().encode()).hexdigest() == digest
+
+
+def test_generators_cap_their_output_size():
+    """The cap holds at 4096^2 cells, one past it is refused."""
+    with pytest.raises(SizeLimitError):
+        signed_identity(4097)
+    with pytest.raises(SizeLimitError):
+        disjointness(13)
+    with pytest.raises(SizeLimitError):
+        grid_hyperplane(2, 24)
+    with pytest.raises(SizeLimitError):
+        hamming_ball(64, 5)
+    with pytest.raises(SizeLimitError):
+        interval_class(29)
+    assert signed_identity(4096).shape == (4096, 4096)
