@@ -93,11 +93,11 @@ def _load_matrix(path: str):
 
 
 def _intervals(args):
+    plane = generators.ProjectiveSpace.build(args.p, 2)
     orders = None
     if args.planted:
-        plane = generators.ProjectiveSpace.build(args.p, 2)
         orders = generators.planted_line_orders(plane, np.random.default_rng(args.seed))
-    return generators.interval_class(args.p, orders).matrix
+    return generators.interval_class(args.p, orders, plane).matrix
 
 
 # Each `gen` generator: the flags it needs, and its builder from the parsed

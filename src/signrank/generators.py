@@ -127,13 +127,18 @@ def hamming_ball(n: int, d: int) -> ConceptClass:
     for w in range(d + 1):
         rows += math.comb(n, w)
         _check_size(rows * n, f"hamming_ball({n}, {d})")
-    masks = sorted(
-        sum(1 << j for j in combo)
-        for w in range(d + 1)
-        for combo in itertools.combinations(range(n), w)
-    )
-    rows = [[1 if (mask >> j) & 1 else -1 for j in range(n)] for mask in masks]
-    return ConceptClass(SignMatrix(rows))
+    # Row k lists the +1 coordinates of a vector, largest first, padded with
+    # -1; mask order is the lexicographic order of these rows.
+    plus = np.full((rows, max(d, 1)), -1, dtype=np.intp)
+    start = 0
+    for w in range(1, d + 1):
+        combos = np.array(list(itertools.combinations(range(n - 1, -1, -1), w)), dtype=np.intp)
+        plus[start + 1:start + 1 + len(combos), :w] = combos
+        start += len(combos)
+    plus = plus[np.lexsort(plus.T[::-1])]  # np.lexsort sorts by its last key first
+    data = np.full((rows, n + 1), -1, dtype=np.int8)  # column n absorbs the padding
+    data[np.arange(rows)[:, None], plus] = 1
+    return ConceptClass(SignMatrix(data[:, :n]))
 
 
 def grid_hyperplane(n: int, d: int) -> SignMatrix:
@@ -165,24 +170,31 @@ def planted_line_orders(
     """Per line, draw a random subset of its points and order the line so the
     subset forms a prefix (ascending indices inside each part)."""
     orders = []
-    for pts in default_line_orders(plane):
+    for line in default_line_orders(plane):
+        pts = np.array(line)
         chosen = rng.integers(0, 2, size=len(pts)).astype(bool)
-        orders.append(tuple(q for _, q in sorted(zip(~chosen, pts))))
+        orders.append(tuple(pts[np.lexsort((pts, ~chosen))].tolist()))
     return tuple(orders)
 
 
 def interval_class(
-    p: int, orders: tuple[tuple[int, ...], ...] | None = None
+    p: int,
+    orders: tuple[tuple[int, ...], ...] | None = None,
+    plane: ProjectiveSpace | None = None,
 ) -> ConceptClass:
     """Over the projective plane of order p: the empty set, all singletons,
     and every contiguous run of length >= 2 of every ordered line, as +1/-1
     indicator vectors over the plane's points.
 
     `orders` holds one ordering of each line's points, aligned with
-    `default_line_orders`, which is the default. The class has
+    `default_line_orders`, which is the default; `plane` is the plane of
+    order p when the caller has built it already. The class has
     1 + N + C(N, 2) members with N = p^2 + p + 1.
     """
-    plane = ProjectiveSpace.build(p, 2)
+    if plane is None:
+        plane = ProjectiveSpace.build(p, 2)
+    elif (plane.order, plane.dim) != (p, 2):
+        raise ValueError(f"need the projective plane of order {p}")
     n = plane.n_points
     _check_size((1 + n + math.comb(n, 2)) * n, f"interval_class({p})")
     lines = default_line_orders(plane)

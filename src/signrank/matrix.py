@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import MatrixFormatError
 
-_SIGN_CHARS = {"+": 1, "-": -1}
+# Byte value -> sign, 0 for every byte but '+' and '-'.
+_SIGN_OF_BYTE = np.zeros(256, dtype=np.int8)
+_SIGN_OF_BYTE[[ord("+"), ord("-")]] = (1, -1)
 
 
 class _Matrix:
@@ -85,8 +87,9 @@ class SignMatrix(_Matrix):
         return [tuple(int(v) for v in row) for row in self._data]
 
     def to_text(self) -> str:
-        lines = ["".join("+" if v == 1 else "-" for v in row) for row in self._data]
-        return "\n".join(lines) + "\n"
+        text = np.full((self.n_rows, self.n_cols + 1), ord("\n"), dtype=np.uint8)
+        text[:, :-1] = np.where(self._data == 1, ord("+"), ord("-"))
+        return text.tobytes().decode("ascii")
 
     @classmethod
     def constant(cls, n_rows: int, n_cols: int, value: int = 1) -> "SignMatrix":
@@ -117,28 +120,35 @@ def parse_sign_matrix(text: str) -> SignMatrix:
     """Parse the '+'/'-' text format.
 
     Blank lines and lines starting with '#' (an optional header) are skipped.
-    All remaining lines must have equal length and use only '+' and '-'.
+    All remaining lines must have equal length and use only '+' and '-'. The
+    first offending line is reported, as a line-by-line reader would find
+    it: the lines are collected up to the first of another width, and their
+    characters are then mapped to signs in one table lookup.
     """
-    rows: list[list[int]] = []
-    width: int | None = None
+    rows: list[str] = []
+    linenos: list[int] = []
+    ragged = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if width is None:
-            width = len(line)
-        elif len(line) != width:
-            raise MatrixFormatError(
-                f"expected {width} characters, found {len(line)}", line=lineno
-            )
-        try:
-            rows.append([_SIGN_CHARS[ch] for ch in line])
-        except KeyError:
-            bad = next(ch for ch in line if ch not in _SIGN_CHARS)
-            raise MatrixFormatError(f"illegal character {bad!r}", line=lineno) from None
+        if rows and len(line) != len(rows[0]):
+            found = f"expected {len(rows[0])} characters, found {len(line)}"
+            ragged = MatrixFormatError(found, line=lineno)
+            break
+        rows.append(line)
+        linenos.append(lineno)
     if not rows:
         raise MatrixFormatError("empty input: no matrix rows found")
-    return SignMatrix(rows)
+    # one byte per character: any character past U+00FF becomes '?', also illegal
+    signs = _SIGN_OF_BYTE[np.frombuffer("".join(rows).encode("latin-1", "replace"), dtype=np.uint8)]
+    legal = signs != 0
+    if not legal.all():
+        row, col = divmod(int(legal.argmin()), len(rows[0]))
+        raise MatrixFormatError(f"illegal character {rows[row][col]!r}", line=linenos[row])
+    if ragged is not None:
+        raise ragged
+    return SignMatrix(signs.reshape(len(rows), -1))
 
 
 def to_boolean(S: SignMatrix) -> BooleanMatrix:

@@ -8,7 +8,8 @@ subtree it visits all of it before leaving, and its first visits form a
 preorder. Exact integer weights are kept only for candidate row pairs,
 admitted nearest first by Hamming distance while a pair at the next distance
 could still be among the lightest, and are updated from the crossed columns
-alone, so ties are broken among exactly equal weights: the seed alone fixes
+alone, and only when the lightest tie set, carried from step to step, runs
+out; ties are broken among exactly equal weights, so the seed alone fixes
 the output, whatever the BLAS library or thread count, and memory is O(n^2)
 for n rows. For VC dimension one, a single lexicographic sort of the rows
 gives an optimal order, with at most two sign changes per column;
@@ -80,20 +81,36 @@ class _PairWeights:
     a time, nearest first, from the n x n int32 distances (one float32
     product, exact below 2^24 columns). A pair at distance h differs in h
     varying columns, so it weighs at least L(h), the sum of the h least w_j
-    over the varying columns, and L grows with h. `ties()` admits the next
+    over the varying columns, and L grows with h. A sync admits the next
     level h while there is no candidate or the lightest weighs >= L(h).
     Then a pair not yet admitted lies at a distance h' >= h and weighs at
     least L(h') >= L(h) > the least candidate weight, so the lightest
     candidates are exactly the lightest live pairs (rows in different
     components); the test is not strict, so next-level pairs that tie get
-    in. `join()` drops the candidates inside the joined component.
+    in.
 
-    `double()` adds w_j to the candidates that differ in each crossed column
-    j. Every partial sum and weight is an integer of magnitude at most the
+    Weights and L(h) only grow, so the least weight found at a sync stays
+    the least while some pair of that tie set is live and uncrossed, and no
+    level can newly pass admission meanwhile. The tie set is therefore
+    carried from step to step: after `join()`, `double()` drops its pairs
+    that now lie inside one component or differ in a crossed column, and
+    `ties()` returns what is left, still in u * n + v order. Only when it
+    runs out does `_sync()` bring the candidates up to date: it drops the
+    dead ones, adds to each 2^(k - base) for every doubling since the last
+    sync of a column where its rows differ, k being the column's count
+    before that doubling (so column j gains 2^(e_j - base) - 2^(s_j - base)
+    in all, s_j its count at the last sync), admits levels and extracts the
+    next tie set. A step that keeps the set costs about the tie pairs times
+    the crossed columns; a sync costs what a step cost before the set was
+    carried, about the candidates times the columns crossed since the last
+    sync, or one n x n product if less.
+
+    Every partial sum and weight is an integer of magnitude at most the
     total weight of the varying columns; while that stays at most
     _EXACT_LIMIT = 2^52, float64 holds them exactly in any summation order.
-    Past that, once raising `base` no longer helps, the weights become
-    Python integers: slow, but still exact. L(h) is a Python integer too.
+    Past that, the candidates are brought up to date, then `base` is raised
+    or, once that no longer helps, the weights become Python integers:
+    slow, but still exact. L(h) is a Python integer too.
     """
 
     def __init__(self, S: SignMatrix) -> None:
@@ -113,60 +130,109 @@ class _PairWeights:
         present[self.hd] = True
         self.levels = np.flatnonzero(present)[:0:-1].tolist()  # the distances but 0, largest first
         self.comp = np.arange(n)
-        self.u = self.v = np.zeros(0, dtype=np.intp)  # candidate pairs u < v
+        self.u = self.v = np.zeros(0, dtype=np.intp)  # candidate pairs u < v, in u * n + v order
         self.w = np.zeros(0)
+        self.pending: list[tuple[np.ndarray, np.ndarray]] = []  # (columns, counts) per doubling
+        self.tie = self.tu = self.tv = self.u  # carried tie set u * n + v, increasing; its rows
 
     def ties(self) -> np.ndarray:
         """Flat indices u * n + v, in increasing order, of the live pairs of
         least weight."""
-        least = self.w.min() if len(self.w) else np.inf  # Python inf: compares with any int
-        while self.levels and self._may_tie(least, self.levels[-1]):
-            u, v = np.divmod(np.flatnonzero(self.hd == self.levels.pop()), len(self.comp))
-            live = self.comp[u] != self.comp[v]
-            self.u, self.v = np.concatenate((self.u, u[live])), np.concatenate((self.v, v[live]))
-            self.w = np.concatenate((self.w, self._diff_sums(u[live], v[live], self.varying)))
-            least = self.w.min() if len(self.w) else np.inf
-        tied = self.w == least
-        return np.sort(self.u[tied] * len(self.comp) + self.v[tied])
+        if not len(self.tie):
+            self._sync()
+        return self.tie
 
     def join(self, u: int, v: int) -> None:
-        """Merge the components of rows u and v and drop the candidates that
-        now lie inside one component."""
+        """Merge the components of rows u and v, a pair of the tie set; the
+        step ends with `double()` of the columns where they differ."""
         self.comp[self.comp == self.comp[v]] = self.comp[u]
-        live = self.comp[self.u] != self.comp[self.v]
-        self.u, self.v, self.w = self.u[live], self.v[live], self.w[live]
 
     def double(self, crossed: np.ndarray) -> float:
-        """Double the crossed columns and update the candidate weights.
-        Returns the mass the crossed columns had before, correctly rounded."""
-        mass = sum(1 << k for k in self.e[crossed].tolist())
+        """Double the crossed columns and drop the tie pairs that now lie
+        inside one component or differ in a crossed column. Returns the mass
+        the crossed columns had before, correctly rounded."""
+        counts = self.e[crossed]
+        mass = sum(1 << k for k in counts.tolist())
         x = mass / self.total
         self.total += mass
         if not self.exact and self._scaled_total() > _EXACT_LIMIT:
-            # every weight is a sum of powers 2^(e_j - base) with e_j at least
-            # the least count of a varying column, so the rescaling is exact
+            # once up to date, every weight is a sum of powers 2^(e_j - base)
+            # with e_j at least the least count of a varying column, so the
+            # rescaling is exact
+            self._catch_up()
             shift = int(self.e[self.varying].min()) - self.base
             self.w *= 0.5**shift
             self.base += shift
             if self._scaled_total() > _EXACT_LIMIT:
                 self.exact = True
-                self.w = self._diff_sums(self.u, self.v, self.varying)
-        self.w += self._diff_sums(self.u, self.v, crossed)
-        self.e[crossed] += 1
+                self.w = self._weights(self.u, self.v)
+        self.pending.append((crossed, counts))
+        self.e[crossed] = counts + 1
+        if len(self.tie) > 1:
+            tu, tv = self.tu, self.tv
+            XT = self.XT[crossed]  # take keeps the gathers C-ordered, so all() is fast
+            keep = (XT.take(tu, axis=1) == XT.take(tv, axis=1)).all(axis=0)
+            keep &= self.comp.take(tu) != self.comp.take(tv)
+            self.tie, self.tu, self.tv = self.tie[keep], tu[keep], tv[keep]
+        else:  # a one-pair set held just the joined pair
+            self.tie = self.tie[:0]
         return x
 
-    def _diff_sums(self, u: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Per pair (u, v), the sum of w_j over the columns j of `cols` where
-        rows u and v differ (Python integers once exact)."""
-        shifts = self.e[cols] - self.base
-        w = (np.array([1 << k for k in shifts.tolist()], dtype=object)
-             if self.exact else np.ldexp(1.0, shifts))
-        XT, n = self.XT[cols], len(self.comp)
+    def _sync(self) -> None:
+        """Bring the live candidates up to date, admit levels and extract
+        the tie set."""
+        live = self.comp.take(self.u) != self.comp.take(self.v)
+        self.u, self.v, self.w = self.u[live], self.v[live], self.w[live]
+        self._catch_up()
+        n, levels = len(self.comp), len(self.levels)
+        least = self.w.min() if len(self.w) else np.inf  # Python inf: compares with any int
+        while self.levels and self._may_tie(least, self.levels[-1]):
+            u, v = np.divmod(np.flatnonzero(self.hd == self.levels.pop()), n)
+            live = self.comp.take(u) != self.comp.take(v)
+            self.u, self.v = np.concatenate((self.u, u[live])), np.concatenate((self.v, v[live]))
+            self.w = np.concatenate((self.w, self._weights(u[live], v[live])))
+            least = self.w.min() if len(self.w) else np.inf
+        if len(self.levels) < levels:  # candidates in u * n + v order give the ties in order
+            order = np.argsort(self.u * n + self.v)
+            self.u, self.v, self.w = self.u[order], self.v[order], self.w[order]
+        tied = self.w == least
+        self.tu, self.tv = self.u[tied], self.v[tied]
+        self.tie = self.tu * n + self.tv
+
+    def _catch_up(self) -> None:
+        """Add to each candidate 2^(k - base) for every doubling since the
+        last catch-up of a column where its rows differ, k being the
+        column's count before that doubling."""
+        if self.pending and len(self.u):
+            cols, counts = self.pending[0]  # one doubling, the common case on small inputs
+            if len(self.pending) > 1:
+                cols, counts = map(np.concatenate, zip(*self.pending))
+            self.w += self._diff_sums(self.u, self.v, cols, self._powers(counts))
+        self.pending = []
+
+    def _weights(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Current weights of the pairs (u, v), from all varying columns."""
+        return self._diff_sums(u, v, self.varying, self._powers(self.e[self.varying]))
+
+    def _powers(self, counts: np.ndarray) -> np.ndarray:
+        """2^(k - base) for each count k (Python integers once exact)."""
+        if self.exact:
+            return np.array([1 << k for k in (counts - self.base).tolist()], dtype=object)
+        return np.ldexp(1.0, counts - self.base)
+
+    def _diff_sums(
+        self, u: np.ndarray, v: np.ndarray, cols: np.ndarray, w: np.ndarray
+    ) -> np.ndarray:
+        """Per pair (u, v), the sum of w[i] over the columns cols[i] where
+        rows u and v differ."""
+        n = len(self.comp)
         if self.exact or len(u) * len(cols) <= n * n:
-            return w @ (XT[:, u] != XT[:, v]).astype(w.dtype)
+            XT = self.XT[cols]  # take keeps the gathers C-ordered, so they stay fast
+            return w @ (XT.take(u, axis=1) != XT.take(v, axis=1)).astype(w.dtype)
         # fewer cells over all n^2 pairs, in BLAS; its sums are exact integers
         XC = self.X[:, cols]
-        return (w.sum() - ((XC * w) @ XC.T)[u, v]) / 2
+        h = w / 2  # exact: the sums stay multiples of 1/2 below 2^52
+        return h.sum() - ((XC * h) @ XC.T).take(u * n + v)
 
     def _may_tie(self, least, h: int) -> bool:
         """Whether least >= L(h), the sum of the h least w_j over the varying
@@ -201,8 +267,13 @@ def welzl_path(
     are admitted by Hamming distance, nearest first, while the lightest
     candidate weighs at least the least weight a pair at the next distance
     can have, so no pair left out can tie the lightest (see `_PairWeights`).
-    Memory is an n x n int32 distance matrix for n rows; a step costs about
-    the candidates times the crossed columns, or one n x n product if less.
+    Memory is an n x n int32 distance matrix for n rows. The lightest tie
+    set is carried from step to step while some of its pairs stay live and
+    uncrossed, at about its size times the crossed columns a step; only when
+    it runs out are the candidate weights brought up to date, at about the
+    candidates times the columns crossed since, or one n x n product if
+    less. On tall inputs a tie set lasts tens of steps (17 sets cover the
+    496 steps of `interval_class(5)`); on projective planes most last one.
 
     When the VC dimension is at most d, every recorded edge weight satisfies
     x_i <= 4e^2 (N-i)^(-1/d) and the output has at most 200 N^(1-1/d) sign

@@ -36,6 +36,61 @@ def test_parse_rejects_ragged_lines():
     assert "line 2" in str(err.value)
 
 
+def reference_parse(text):
+    """Line-by-line reader: rows of signs, or the message of the first
+    error, a width checked before the characters of each line."""
+    rows, width = [], None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        width = len(line) if width is None else width
+        if len(line) != width:
+            return f"line {lineno}: expected {width} characters, found {len(line)}"
+        bad = [ch for ch in line if ch not in "+-"]
+        if bad:
+            return f"line {lineno}: illegal character {bad[0]!r}"
+        rows.append([1 if ch == "+" else -1 for ch in line])
+    return rows
+
+
+def parse_outcome(text):
+    try:
+        return parse_sign_matrix(text).entries.tolist()
+    except MatrixFormatError as exc:
+        return str(exc)
+
+
+def test_parse_reports_deep_errors_by_line():
+    """A large input is mapped to signs in one table lookup, yet a bad
+    character or width far down is reported at its own line, and the first
+    error in line order wins, as the line-by-line reader finds it."""
+    rng = np.random.default_rng(3)
+    lines = ["# rows=3000 cols=100", ""] + [
+        "".join(rng.choice(["+", "-"], size=100)) for _ in range(3000)
+    ]
+    assert parse_outcome("\n".join(lines)) == reference_parse("\n".join(lines))
+
+    def corrupt(edits):
+        changed = list(lines)
+        for index, line in edits:
+            changed[index] = line
+        text = "\n".join(changed)
+        assert parse_outcome(text) == reference_parse(text)
+        return parse_outcome(text)
+
+    bad_char = (2500, lines[2500][:37] + "x" + lines[2500][38:])
+    wide_char = (2600, lines[2600][:99] + "\u2212")  # one character past U+00FF
+    short = (2900, lines[2900][:99])
+    assert corrupt([bad_char]) == "line 2501: illegal character 'x'"
+    assert corrupt([wide_char]) == "line 2601: illegal character '\u2212'"
+    assert corrupt([short]) == "line 2901: expected 100 characters, found 99"
+    assert corrupt([bad_char, short]) == "line 2501: illegal character 'x'"
+    assert corrupt([(2000, lines[2000] + "+"), bad_char]) == "line 2001: expected 100 characters, found 101"
+    assert corrupt([(2000, lines[2000][:50] + " " + lines[2000][50:])]).startswith("line 2001: expected")
+    assert corrupt([(2000, lines[2000][:50] + "\u00e9" + lines[2000][51:])]) == "line 2001: illegal character '\u00e9'"
+
+
 def test_parse_rejects_empty_input():
     with pytest.raises(MatrixFormatError):
         parse_sign_matrix("")

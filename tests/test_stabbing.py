@@ -324,25 +324,33 @@ def live_pair_weights(weights):
 
 def spy_on_ties(monkeypatch):
     """Check every ties() answer against the lightest pairs recomputed over
-    all live pairs, not just the candidates, and every candidate weight
-    against its recomputed value; returns one record per call: the weight
-    mode, the base, how many levels the call admitted and how many
-    candidates there were before it."""
-    ties = stabbing._PairWeights.ties
-    calls = []
+    all live pairs, not just the candidates, and at each sync, when the
+    candidate weights are brought up to date, every candidate weight against
+    its recomputed value; returns one record per ties() call: the weight
+    mode, the base, how many levels the call admitted, how many candidates
+    there were before it and whether it synced."""
+    ties, sync = stabbing._PairWeights.ties, stabbing._PairWeights._sync
+    calls, syncs = [], []
+
+    def spy_sync(self):
+        sync(self)
+        live = live_pair_weights(self)
+        candidates = (self.u * len(self.comp) + self.v).tolist()
+        assert candidates == sorted(set(candidates))  # so the tie set comes out in order
+        assert all(live[i] == w for i, w in zip(candidates, self.w.tolist()))
+        syncs.append(True)
 
     def spy(self):
-        levels, had = len(self.levels), len(self.w)
+        levels, had, synced = len(self.levels), len(self.w), len(syncs)
         picked = ties(self)
         live = live_pair_weights(self)
         least = min(live.values())
         assert picked.tolist() == sorted(i for i, w in live.items() if w == least)
-        candidates = (self.u * len(self.comp) + self.v).tolist()
-        assert len(set(candidates)) == len(candidates)
-        assert all(live[i] == w for i, w in zip(candidates, self.w.tolist()))
-        calls.append(dict(exact=self.exact, base=self.base, admitted=levels - len(self.levels), had=had))
+        calls.append(dict(exact=self.exact, base=self.base, admitted=levels - len(self.levels), had=had,
+                          synced=len(syncs) > synced))
         return picked
 
+    monkeypatch.setattr(stabbing._PairWeights, "_sync", spy_sync)
     monkeypatch.setattr(stabbing._PairWeights, "ties", spy)
     return calls
 
@@ -367,10 +375,10 @@ def test_welzl_matches_exact_oracle_in_both_update_paths(monkeypatch):
     diff_sums = stabbing._PairWeights._diff_sums
     dense = set()
 
-    def spy(self, u, v, cols):
+    def spy(self, u, v, cols, w):
         if not self.exact:
             dense.add(len(u) * len(cols) > len(self.comp) ** 2)
-        return diff_sums(self, u, v, cols)
+        return diff_sums(self, u, v, cols, w)
 
     monkeypatch.setattr(stabbing._PairWeights, "_diff_sums", spy)
     spy_on_ties(monkeypatch)
@@ -387,11 +395,11 @@ def test_welzl_matches_exact_oracle_across_blocks(monkeypatch, cells):
     ceilings: each candidate's sum depends on that pair alone."""
     diff_sums = stabbing._PairWeights._diff_sums
 
-    def blocked(self, u, v, cols):
+    def blocked(self, u, v, cols, w):
         starts = range(0, len(u), cells)
         if not starts:
-            return diff_sums(self, u, v, cols)
-        return np.concatenate([diff_sums(self, u[i:i + cells], v[i:i + cells], cols) for i in starts])
+            return diff_sums(self, u, v, cols, w)
+        return np.concatenate([diff_sums(self, u[i:i + cells], v[i:i + cells], cols, w) for i in starts])
 
     monkeypatch.setattr(stabbing._PairWeights, "_diff_sums", blocked)
     calls = spy_on_ties(monkeypatch)
@@ -426,20 +434,65 @@ def test_welzl_projective_plane_admits_every_pair_at_once(monkeypatch):
 
 def test_welzl_admits_few_pairs_on_intervals(monkeypatch):
     """On interval_class(3) (92 rows) the greedy admits under a tenth of the
-    4186 pairs (175 at seed 0), so a fallback to all pairs would fail here."""
-    ties = stabbing._PairWeights.ties
+    4186 pairs (175 at seed 0), so a fallback to all pairs would fail here.
+    Pairs are admitted only at a sync, after the dead candidates are
+    dropped."""
+    sync = stabbing._PairWeights._sync
     admitted = []
 
     def spy(self):
-        had = len(self.w)
-        picked = ties(self)
-        admitted.append(max(0, len(self.w) - had))
-        return picked
+        live = int((self.comp[self.u] != self.comp[self.v]).sum())
+        sync(self)
+        admitted.append(len(self.w) - live)
 
-    monkeypatch.setattr(stabbing._PairWeights, "ties", spy)
+    monkeypatch.setattr(stabbing._PairWeights, "_sync", spy)
     S = distinct_rows(interval_class(3).matrix)
     welzl_path(S, np.random.default_rng(0))
     assert sum(admitted) < S.n_rows * (S.n_rows - 1) // 2 // 10
+
+
+def test_welzl_syncs_once_per_tie_set_on_intervals(monkeypatch):
+    """On interval_class(5) (497 rows) the lightest tie set lasts many
+    steps: 17 tie sets cover the 496 steps at seed 0, and the candidate
+    weights are brought up to date only when a set runs out, so the syncs
+    stay far below the steps."""
+    sync = stabbing._PairWeights._sync
+    syncs = []
+
+    def spy(self):
+        sync(self)
+        syncs.append(len(self.tie))
+
+    monkeypatch.setattr(stabbing._PairWeights, "_sync", spy)
+    ordering, state = welzl_path(interval_class(5).matrix, np.random.default_rng(0))
+    assert len(state.forest_edges) == 496
+    assert len(syncs) <= 2 * 17
+    assert sum(syncs) >= 496  # every step drew from a set found at some sync
+
+
+def test_welzl_carried_ties_lose_pairs_to_both_filters(monkeypatch):
+    """On grid_hyperplane(3, 2) at seed 2 one step drops a tie pair that
+    now lies inside one component but agrees on the crossed columns, and
+    another that lies across components but differs in a crossed column,
+    and keeps the rest: the carried set must still be exactly the lightest
+    live pairs, and the tree the oracle's."""
+    double = stabbing._PairWeights.double
+    drops = []
+
+    def spy(self, crossed):
+        tie, n = self.tie.copy(), len(self.comp)
+        x = double(self, crossed)
+        tu, tv = np.divmod(tie, n)
+        inside = self.comp[tu] == self.comp[tv]
+        differ = (self.XT[crossed][:, tu] != self.XT[crossed][:, tv]).any(axis=0)
+        drops.append((int((inside & ~differ).sum()), int((differ & ~inside).sum()), len(self.tie)))
+        return x
+
+    monkeypatch.setattr(stabbing._PairWeights, "double", spy)
+    calls = spy_on_ties(monkeypatch)
+    check_against_oracle(grid_hyperplane(3, 2), 2)
+    assert any(inside and differ and kept for inside, differ, kept in drops)
+    assert not all(call["synced"] for call in calls)
 
 
 def test_int_pair_weights_past_float_range():
@@ -456,8 +509,8 @@ def test_int_pair_weights_past_float_range():
     assert weights.levels == [3]
     weights.join(0, 2)
     assert weights.double(np.array([1, 2])) == 1 / 3
-    assert weights.w.tolist() == [1 << 1102]  # the pair (0, 1)
     assert weights.ties().tolist() == [1]
+    assert weights.w.tolist() == [1 << 1102]  # the pair (0, 1), up to date after the sync
 
 
 # sha256 of the JSON of (forest_edges, x_log, permutation) from welzl_path,
