@@ -10,6 +10,7 @@ and exhaustive small-scale censuses of concept classes.
 from .census import (
     CensusEstimate,
     CensusResult,
+    cube_connected,
     enumerate_census,
     maximum_class_masks,
     sample_census,
@@ -75,13 +76,10 @@ from .stabbing import (
 )
 from .vc import (
     ConceptClass,
-    cube_connected,
     dual_sign_rank,
     is_antipodally_shattered,
-    is_cube_connected,
     is_maximum_class,
     is_shattered,
-    max_projections,
     sauer_bound,
     vc_dimension,
 )

@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
 from .errors import SizeLimitError
-from .matrix import SignMatrix
-from .vc import ConceptClass, cube_connected, is_cube_connected, sauer_bound, vc_at_most
+from .vc import sauer_bound, vc_at_most
 
 MAX_EXACT_N = 4
 
@@ -85,19 +85,26 @@ def _check_exact_n(n: int) -> None:
     if n > MAX_EXACT_N:
         raise SizeLimitError(
             f"the exact census enumerates 2^(2^n) classes; n={n} exceeds the "
-            f"supported maximum {MAX_EXACT_N} (use sampling instead)"
+            f"supported maximum {MAX_EXACT_N}; estimate it by sampling instead (--sample)"
         )
 
 
-def class_from_mask(mask: int, n: int) -> ConceptClass:
-    """Materialize a class mask as vectors: vertex v maps to the row whose
-    column j carries +1 iff bit j of v is set."""
-    rows = [
-        [1 if (v >> j) & 1 else -1 for j in range(n)]
-        for v in range(1 << n)
-        if (mask >> v) & 1
-    ]
-    return ConceptClass(SignMatrix(rows))
+def cube_connected(vertices: Iterable[int], n_bits: int) -> bool:
+    """True iff the non-empty set of vertex masks induces a connected
+    subgraph of the n_bits cube (edges between masks at Hamming distance
+    one)."""
+    vertices = set(vertices)
+    start = next(iter(vertices))
+    seen = {start}
+    stack = [start]
+    while stack:
+        m = stack.pop()
+        for j in range(n_bits):
+            nb = m ^ (1 << j)
+            if nb in vertices and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(vertices)
 
 
 def maximum_class_masks(n: int, d: int) -> list[int]:
@@ -177,12 +184,3 @@ def sample_census(
         spread = 0.25
     radius = 1.96 * math.sqrt(spread / samples)
     return CensusEstimate(n, d, size, samples, successes, fraction, radius)
-
-
-def cube_connectivity_crosscheck(n: int, d: int) -> bool:
-    """Re-check the census connectivity flag through the concept-class API:
-    every maximum class, materialized as vectors, must have a connected
-    one-inclusion graph."""
-    return all(
-        is_cube_connected(class_from_mask(m, n)) for m in maximum_class_masks(n, d)
-    )

@@ -256,10 +256,6 @@ def _cmd_enumerate(args) -> int:
             raise ValueError("--sample needs --size (the class size to draw)")
         rng = np.random.default_rng(args.seed)
         result = census.sample_census(args.n, args.d, args.size, args.samples, rng)
-    elif args.n > census.MAX_EXACT_N:
-        raise SizeLimitError(
-            f"exact census supports n <= {census.MAX_EXACT_N}; rerun with --sample"
-        )
     else:
         result = census.enumerate_census(args.n, args.d)
     return _report(args, dataclasses.asdict(result), [])

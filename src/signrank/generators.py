@@ -59,14 +59,21 @@ class ProjectiveSpace:
         expected = (order ** (dim + 1) - 1) // (order - 1)
         if expected > _MAX_POINTS:
             raise SizeLimitError(f"{expected} points; at most {_MAX_POINTS} are supported")
-        pts = []
-        for v in itertools.product(range(order), repeat=dim + 1):
-            nz = next((x for x in v if x != 0), 0)
-            if nz == 1:
-                pts.append(v)
+        # In lexicographic order the points whose leading 1 sits last come
+        # first; the coordinates after the leading 1 run over all base-order
+        # digit strings, most significant digit first.
+        blocks = []
+        for lead in range(dim, -1, -1):
+            tail = dim - lead
+            block = np.zeros((order**tail, dim + 1), dtype=np.int64)
+            block[:, lead] = 1
+            place = order ** np.arange(tail - 1, -1, -1)
+            block[:, lead + 1:] = np.arange(order**tail)[:, None] // place % order
+            blocks.append(block)
+        pts = np.concatenate(blocks)
         if len(pts) != expected:
             raise AssertionError(f"found {len(pts)} points, expected {expected}")
-        return cls(order, dim, tuple(pts))
+        return cls(order, dim, tuple(map(tuple, pts.tolist())))
 
     @property
     def n_points(self) -> int:

@@ -8,7 +8,6 @@ to share between concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,24 +63,9 @@ class _Matrix:
 
 
 class SignMatrix(_Matrix):
-    """Immutable dense matrix whose entries are exactly +1 or -1.
-
-    `row_masks` exposes each row as an integer bit mask (bit j set iff the
-    entry in column j is +1), the vertex encoding of the one-inclusion
-    graph test `vc.is_cube_connected`.
-    """
+    """Immutable dense matrix whose entries are exactly +1 or -1."""
 
     _kind, _values, _rule = "sign", (-1, 1), "+1 or -1"
-
-    @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        masks = []
-        for row in self._data:
-            m = 0
-            for j in np.flatnonzero(row == 1):
-                m |= 1 << int(j)
-            masks.append(m)
-        return tuple(masks)
 
     def row_tuples(self) -> list[tuple[int, ...]]:
         return [tuple(int(v) for v in row) for row in self._data]

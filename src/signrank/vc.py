@@ -30,8 +30,7 @@ SUBSET_BUDGET = 2_000_000
 
 # Cells per batch of the shattering kernel (stacked matrices x sets x
 # pattern masks x 64-bit words, or x columns for the index arrays of a batch
-# of prefixes) and of max_projections (subsets x distinct rows, or x
-# columns). Each 8-byte temporary of a batch then takes at most 128 KiB,
+# of prefixes). Each 8-byte temporary of a batch then takes at most 128 KiB,
 # which malloc serves from reused heap memory; larger ones are mapped afresh
 # for each batch, and their page faults made scans up to twice as slow.
 _BATCH_CELLS = 1 << 14
@@ -68,33 +67,6 @@ def _subsets(m: int, k: int, size: int, batch: int = 1) -> Iterator[np.ndarray]:
     while len(C := np.fromiter(itertools.islice(flat, batch * k), dtype=np.intp)):
         yield C.reshape(-1, k)
         batch = min(2 * batch, size)
-
-
-def _dense_ranks(ids: np.ndarray) -> np.ndarray:
-    """Renumber each row's ids as 0, 1, ... in increasing order."""
-    order = np.argsort(ids, axis=-1)
-    s = np.take_along_axis(ids, order, axis=-1)
-    steps = np.zeros_like(ids)
-    np.cumsum(s[..., 1:] != s[..., :-1], axis=-1, out=steps[..., 1:])
-    ranks = np.empty_like(ids)
-    np.put_along_axis(ranks, order, steps, axis=-1)
-    return ranks
-
-
-def _pattern_ids(bits: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """ids[b, r] names the pattern of row r on the columns C[b] of bits
-    (columns x rows): equal patterns get equal ids. Up to 62 columns the id
-    is sum_i bits[C[b, i], r] << i; wider sets are renumbered densely
-    whenever the ids fill 62 bits."""
-    rows = bits.shape[-1]
-    ids = np.zeros((len(C), rows), dtype=np.intp)
-    shift = 0
-    for i in range(C.shape[1]):
-        if shift == 62:
-            ids, shift = _dense_ranks(ids), rows.bit_length()
-        ids |= bits[C[:, i], :] << shift
-        shift += 1
-    return ids
 
 
 def _refusal(m: int, k: int) -> SizeLimitError:
@@ -336,53 +308,3 @@ def is_maximum_class(C: ConceptClass, d: int) -> bool:
     if C.n_rows != sauer_bound(C.n_cols, d):
         return False
     return vc_dimension(C.matrix) == d
-
-
-def cube_connected(vertices: Iterable[int], n_bits: int) -> bool:
-    """True iff the non-empty set of vertex masks induces a connected
-    subgraph of the n_bits cube (edges between masks at Hamming distance
-    one)."""
-    vertices = set(vertices)
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        m = stack.pop()
-        for j in range(n_bits):
-            nb = m ^ (1 << j)
-            if nb in vertices and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(vertices)
-
-
-def is_cube_connected(C: ConceptClass) -> bool:
-    """True iff the one-inclusion graph (rows as vertices, edges between rows
-    at Hamming distance one) is connected."""
-    return cube_connected(C.matrix.row_masks, C.n_cols)
-
-
-def max_projections(S: SignMatrix, t: int) -> int:
-    """Maximum, over all t-column sets, of the number of distinct row
-    projections; this evaluates the primal shatter function at t. The
-    t-sets are walked in the kernel's lexicographic prefix batches, and the
-    scan stops once some set reaches min(2^t, distinct rows). Like
-    _some_shattered it examines at most SUBSET_BUDGET sets, and raises
-    SizeLimitError when C(m, t) > SUBSET_BUDGET and none reached the cap."""
-    if t < 1 or t > S.n_cols:
-        raise ValueError(f"t must be between 1 and {S.n_cols}")
-    bits = _bit_columns(S)
-    m, rows = bits.shape
-    cap = min(1 << t, rows)
-    best = examined = 0
-    for C in _prefixes(m, t, max(1, _BATCH_CELLS // max(m, rows))):
-        if best == cap or examined == SUBSET_BUDGET:
-            break
-        C = C[:SUBSET_BUDGET - examined]
-        examined += len(C)
-        ids = np.sort(_pattern_ids(bits, C), axis=1)
-        counts = 1 + (ids[:, 1:] != ids[:, :-1]).sum(axis=1)
-        best = max(best, int(counts.max()))
-    if best < cap and math.comb(m, t) > SUBSET_BUDGET:
-        raise _refusal(m, t)
-    return best

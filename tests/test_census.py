@@ -5,7 +5,6 @@ from signrank import (
     SignMatrix,
     SizeLimitError,
     enumerate_census,
-    is_cube_connected,
     is_maximum_class,
     maximum_class_masks,
     sample_census,
@@ -13,7 +12,7 @@ from signrank import (
     vc_dimension,
 )
 from signrank import census, vc
-from signrank.census import class_from_mask, cube_connectivity_crosscheck
+from testutil import class_from_mask, one_inclusion_connected
 
 
 def test_census_n2_d1():
@@ -75,14 +74,22 @@ def test_census_vc_table_entries_match_vc_dimension():
 
 
 def test_maximum_classes_connected_and_sized():
-    for n in (2, 3):
-        for d in range(1, n + 1):
-            masks = maximum_class_masks(n, d)
-            for mask in masks:
-                C = class_from_mask(mask, n)
-                assert C.n_rows == sauer_bound(n, d)
-                assert is_cube_connected(C)
-            assert cube_connectivity_crosscheck(n, d)
+    for n in (2, 3, 4):
+        for d in range(n + 1):
+            classes = [class_from_mask(mask, n) for mask in maximum_class_masks(n, d)]
+            assert all(C.n_rows == sauer_bound(n, d) for C in classes)
+            connected = all(one_inclusion_connected(C) for C in classes)
+            assert enumerate_census(n, d).all_maximum_connected == connected
+            assert connected
+    assert [len(maximum_class_masks(4, d)) for d in range(5)] == [16, 400, 400, 16, 1]
+
+
+def test_one_inclusion_reference_sees_gaps():
+    # Opposite corners of the square, and two edges of the 3-cube joined
+    # by no third one.
+    assert not one_inclusion_connected(class_from_mask(0b1001, 2))
+    assert not one_inclusion_connected(class_from_mask(0b11000011, 3))
+    assert one_inclusion_connected(class_from_mask(0b1011, 2))
 
 
 def test_census_rejects_large_n_and_bad_d():

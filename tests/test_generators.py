@@ -86,6 +86,16 @@ def test_projective_space_counts():
         ProjectiveSpace.build(3, 1)
 
 
+@pytest.mark.parametrize("p, d", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (7, 2)])
+def test_projective_space_points_in_lexicographic_order(p, d):
+    # The canonical vectors (first non-zero coordinate 1) in the order of
+    # itertools.product.
+    expected = tuple(
+        v for v in itertools.product(range(p), repeat=d + 1) if next((x for x in v if x), 0) == 1
+    )
+    assert ProjectiveSpace.build(p, d).points == expected
+
+
 def test_projective_incidence_structure():
     A = projective_incidence(3, 2)
     assert A.shape == (13, 13)

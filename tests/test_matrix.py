@@ -143,11 +143,6 @@ def test_entries_are_immutable():
         S.entries[0, 0] = -1
 
 
-def test_row_masks_bit_convention():
-    S = SignMatrix([[1, -1, 1], [-1, -1, -1]])
-    assert S.row_masks == (0b101, 0)
-
-
 def test_conversions_identity_examples():
     S = parse_sign_matrix("+-\n-+")
     B = to_boolean(S)

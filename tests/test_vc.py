@@ -15,10 +15,8 @@ from signrank import (
     interval_class,
     is_antipodally_shattered,
     cube_connected,
-    is_cube_connected,
     is_maximum_class,
     is_shattered,
-    max_projections,
     projective_incidence,
     sauer_bound,
     signed_identity,
@@ -126,41 +124,24 @@ def test_is_maximum_class():
 
 
 def test_is_cube_connected():
-    assert is_cube_connected(hamming_ball(3, 1))
-    assert not is_cube_connected(ConceptClass(SignMatrix([[1, 1], [-1, -1]])))
+    """A class is cube connected when the masks of its rows (bit j set where
+    column j is +1) are; the complement convention gives the same answer."""
+
+    def row_masks(C):
+        return {sum(1 << j for j, v in enumerate(row) if v > 0) for row in C.matrix.row_tuples()}
+
+    assert cube_connected(row_masks(hamming_ball(3, 1)), 3)
+    assert not cube_connected(row_masks(ConceptClass(SignMatrix([[1, 1], [-1, -1]]))), 2)
 
 
 def test_cube_connected_vertex_sets():
     assert cube_connected({0b00, 0b01, 0b11}, 2)
     assert not cube_connected({0b00, 0b11}, 2)
     assert cube_connected({0b101}, 3)
+    # the masks of hamming_ball(3, 1): the origin and its three neighbours
+    assert cube_connected({0, 1, 2, 4}, 3)
     # 0b000 and 0b100 differ in bit 2, which a 2-bit cube does not have
     assert not cube_connected({0b000, 0b100}, 2)
-
-
-def test_max_projections_examples():
-    assert max_projections(SignMatrix.constant(6, 4, 1), 2) == 1
-    G = grid_hyperplane(3, 2)
-    # independent enumeration over all column pairs
-    best = max(
-        len({tuple(r[c] for c in cols) for r in G.row_tuples()})
-        for cols in itertools.combinations(range(G.n_cols), 2)
-    )
-    assert best == 4
-    assert max_projections(G, 2) == 4
-    with pytest.raises(ValueError):
-        max_projections(G, 0)
-    with pytest.raises(ValueError):
-        max_projections(G, 5)
-
-
-def test_max_projections_respects_sauer():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        S = random_distinct_matrix(rng, max_rows=8, max_cols=6)
-        d = vc_dimension(S)
-        for t in range(1, min(4, S.n_cols) + 1):
-            assert max_projections(S, t) <= sauer_bound(t, min(d, t))
 
 
 def test_dual_sign_rank_runs_no_vc_search(monkeypatch):
@@ -256,40 +237,10 @@ def test_vc_dimension_early_witness_within_budget():
     assert vc_dimension(_shattered_block(0)) == 5
 
 
-def test_max_projections_size_limit(monkeypatch):
-    # 64 single columns against a budget of 10: column 0 splits the rows at
-    # once, column 59 is never reached.
-    monkeypatch.setattr(vc, "SUBSET_BUDGET", 10)
-    assert max_projections(_shattered_block(0), 1) == 2
-    with pytest.raises(SizeLimitError, match="examined 10 of 64"):
-        max_projections(_shattered_block(59), 1)
-    # Batches of 1, 2 and 4 subsets end exactly at a budget of 7; the next
-    # one is refused.
-    monkeypatch.setattr(vc, "SUBSET_BUDGET", 7)
-    monkeypatch.setattr(vc, "_BATCH_CELLS", 5 * 32)
-    with pytest.raises(SizeLimitError, match="examined 7 of 64"):
-        max_projections(_shattered_block(59), 1)
-    # The budget cuts the last batch: column 59 is the 60th set, a witness
-    # at a budget of 60 and refused at 59, with and without tiny batches.
-    for cells in (1 << 14, 5 * 32):
-        monkeypatch.setattr(vc, "_BATCH_CELLS", cells)
-        monkeypatch.setattr(vc, "SUBSET_BUDGET", 60)
-        assert max_projections(_shattered_block(59), 1) == 2
-        monkeypatch.setattr(vc, "SUBSET_BUDGET", 59)
-        with pytest.raises(SizeLimitError, match="examined 59 of 64"):
-            max_projections(_shattered_block(59), 1)
-    # Pairs come in prefix batches: (59, 60) is pair number 2007 of C(64, 2)
-    # = 2016, the first with four projections.
-    monkeypatch.setattr(vc, "SUBSET_BUDGET", 2007)
-    assert max_projections(_shattered_block(59), 2) == 4
-    monkeypatch.setattr(vc, "SUBSET_BUDGET", 2006)
-    with pytest.raises(SizeLimitError, match="examined 2006 of 2016"):
-        max_projections(_shattered_block(59), 2)
+def test_budget_that_covers_a_whole_level(monkeypatch):
     # A budget that covers every subset is never exceeded, even when the
     # whole size is scanned without a witness: no 2-set of the signed
     # identity is shattered, and it has C(4, 2) = 6 of them.
-    monkeypatch.setattr(vc, "SUBSET_BUDGET", 64)
-    assert max_projections(_shattered_block(59), 1) == 2
     monkeypatch.setattr(vc, "SUBSET_BUDGET", 6)
     assert vc_dimension(signed_identity(4)) == 1
     monkeypatch.setattr(vc, "SUBSET_BUDGET", 5)
@@ -305,13 +256,6 @@ def brute_vc_dimension(S):
         ):
             best = k
     return best
-
-
-def brute_max_projections(S, t):
-    return max(
-        len({tuple(r[c] for c in cols) for r in S.row_tuples()})
-        for cols in itertools.combinations(range(S.n_cols), t)
-    )
 
 
 def kernel_cases():
@@ -344,8 +288,6 @@ def check_kernel_against_brute(S):
         for cols in itertools.combinations(range(S.n_cols), k):
             assert is_shattered(S, cols) == brute_shattered(S, cols)
             assert is_antipodally_shattered(S, cols) == brute_antipodal(S, cols)
-    for t in range(1, min(S.n_cols, 4) + 1):
-        assert max_projections(S, t) == brute_max_projections(S, t)
 
 
 def test_kernel_matches_bruteforce():
@@ -378,22 +320,6 @@ def test_subsets_in_lexicographic_chunks(size):
                 left -= want[-1]
                 batch = min(2 * batch, size)
             assert [len(C) for C in chunks] == want
-
-
-def test_pattern_ids_wider_than_a_word():
-    # 70 columns overflow a 62-bit id, so ids are renumbered after 62
-    # columns. Heads (first 62 columns) and tails (last 8) each take one of
-    # three patterns, so rows collide on the head, on the tail, or on both.
-    rng = np.random.default_rng(43)
-    for _ in range(5):
-        heads = random_sign_matrix(rng, 3, 62).entries[rng.integers(0, 3, size=16)]
-        tails = random_sign_matrix(rng, 3, 8).entries[rng.integers(0, 3, size=16)]
-        S = SignMatrix(np.hstack([heads, tails]))
-        distinct = len(set(S.row_tuples()))
-        bits = vc._bit_columns(S)
-        ids = vc._pattern_ids(bits, np.arange(70)[None, :])[0]
-        assert len(set(ids.tolist())) == bits.shape[1] == distinct
-        assert max_projections(S, 70) == distinct
 
 
 def test_signrank_bracket_formerly_over_budget():

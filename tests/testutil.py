@@ -1,10 +1,10 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared instance builders and reference checks for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from signrank import SignMatrix, distinct_rows, hamming_ball
+from signrank import ConceptClass, SignMatrix, distinct_rows, hamming_ball
 
 
 def random_sign_matrix(rng: np.random.Generator, n_rows: int, n_cols: int) -> SignMatrix:
@@ -60,6 +60,26 @@ def random_tree_vc1_matrix(
         data = np.hstack([data, data[:, [int(rng.integers(n_cols))]]])
     data = data * rng.choice((-1, 1), size=data.shape[1])
     return SignMatrix(data.astype(np.int8))
+
+
+def class_from_mask(mask: int, n: int) -> ConceptClass:
+    """The class of a census mask over the n-cube: vertex v, in increasing
+    order, is the row whose column j carries +1 iff bit j of v is set."""
+    vertices = np.flatnonzero((mask >> np.arange(1 << n)) & 1)
+    return ConceptClass(SignMatrix((((vertices[:, None] >> np.arange(n)) & 1) * 2 - 1).astype(np.int8)))
+
+
+def one_inclusion_connected(C: ConceptClass) -> bool:
+    """Reference connectivity check: the rows of C, joined when they differ
+    in exactly one column, form a connected graph. Reachability is squared
+    until it stops growing."""
+    X = C.matrix.entries.astype(np.int64)
+    reach = ((C.n_cols - X @ X.T) // 2 <= 1).astype(np.int64)
+    while True:
+        grown = (reach @ reach > 0).astype(np.int64)
+        if (grown == reach).all():
+            return bool(reach.all())
+        reach = grown
 
 
 # VC dimension 2, yet the `vc1_path` sort leaves at most two sign changes in
