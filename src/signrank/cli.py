@@ -1,6 +1,11 @@
 """Command line front end: generate matrices, compute certificates, emit
 reproducible JSON reports.
 
+`signrank [--seed N] [--budget N] [--out PATH] [--format text|json] COMMAND
+...`: the four global flags go before or after the command and its
+arguments. `signrank -h` lists the commands, `signrank COMMAND -h` the
+arguments and flags of one.
+
 Exit codes: 0 success, 2 input error (an unreadable or malformed matrix,
 bad flags, or an `--out` that cannot be written), 3 size-limit rejection (a
 census or a generator too large), 4 a certificate was refused, by its
@@ -117,55 +122,65 @@ _GENERATORS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The flags every command takes, before or after its name.
+_GLOBAL_FLAGS = {
+    "--seed": dict(type=int, help="seed for all randomness"),
+    "--budget": dict(type=int, help="at most N hinge alternations per restart in analyze"),
+    "--out": dict(help="output path (default stdout)"),
+    "--format": dict(choices=("text", "json")),
+}
+_INPUT = {"input": dict(help="matrix file in '+'/'-' format")}
+
+# Each command's one-line help and its own arguments.
+_COMMAND_ARGUMENTS = {
+    "gen": ("write a generated matrix in text format", {
+        "generator": dict(choices=_GENERATORS),
+        "--n": dict(type=int),
+        "--d": dict(type=int),
+        "--p": dict(type=int),
+        "--planted": dict(action="store_true", help="plant random prefix line orders"),
+    }),
+    "analyze": ("full bound report for a matrix file", _INPUT),
+    "approx": ("multiplicative sign-rank approximation", _INPUT),
+    "path": ("low-stabbing row ordering", _INPUT),
+    "bounds": ("spectral certificates and floors only", _INPUT),
+    "enumerate": ("census of classes by VC dimension", {
+        "--n": dict(type=int, required=True),
+        "--d": dict(type=int, required=True),
+        "--sample": dict(action="store_true", help="Monte Carlo estimate"),
+        "--samples": dict(type=int, default=2000),
+        "--size": dict(type=int, help="class size to sample"),
+    }),
+}
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv in two steps: the global flags and the command's name,
+    then the rest by a parser for that command alone, so a call builds two
+    parsers rather than one for every command."""
+    commands = "".join(f"  {name:11s}{text}\n" for name, (text, _) in _COMMAND_ARGUMENTS.items())
     parser = argparse.ArgumentParser(
         prog="signrank",
         description="Sign-rank certificates, orderings, generators, and censuses",
+        epilog=f"commands:\n{commands}\n'signrank COMMAND -h' lists the flags of a command",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    # Global flags are accepted both before and after the subcommand; the
-    # per-subcommand copies default to SUPPRESS so they never clobber values
-    # given at the top level.
-    common = argparse.ArgumentParser(add_help=False)
-    for flags, kwargs in (
-        (("--seed",), dict(type=int, help="seed for all randomness")),
-        (("--budget",), dict(type=int, help="at most N hinge alternations per restart in analyze")),
-        (("--out",), dict(help="output path (default stdout)")),
-        (("--format",), dict(choices=("text", "json"))),
-    ):
-        parser.add_argument(*flags, **kwargs)
-        common.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
+    for flag, kwargs in _GLOBAL_FLAGS.items():
+        parser.add_argument(flag, **kwargs)
     parser.set_defaults(seed=0, budget=400, out=None, format="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser(
-        "gen", help="write a generated matrix in text format", parents=[common]
-    )
-    gen.add_argument("generator", choices=_GENERATORS)
-    gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--d", type=int, default=None)
-    gen.add_argument("--p", type=int, default=None)
-    gen.add_argument(
-        "--planted", action="store_true", help="plant random prefix line orders"
-    )
-
-    for name, helptext in (
-        ("analyze", "full bound report for a matrix file"),
-        ("approx", "multiplicative sign-rank approximation"),
-        ("path", "low-stabbing row ordering"),
-        ("bounds", "spectral certificates and floors only"),
-    ):
-        cmd = sub.add_parser(name, help=helptext, parents=[common])
-        cmd.add_argument("input", help="matrix file in '+'/'-' format")
-
-    enum = sub.add_parser(
-        "enumerate", help="census of classes by VC dimension", parents=[common]
-    )
-    enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--d", type=int, required=True)
-    enum.add_argument("--sample", action="store_true", help="Monte Carlo estimate")
-    enum.add_argument("--samples", type=int, default=2000)
-    enum.add_argument("--size", type=int, default=None, help="class size to sample")
-    return parser
+    parser.add_argument("command", choices=_COMMAND_ARGUMENTS, metavar="COMMAND",
+                        help="one of the commands below")
+    parser.add_argument("rest", nargs=argparse.REMAINDER, metavar="ARGS", help="its arguments")
+    args = parser.parse_args(argv)
+    rest = vars(args).pop("rest")
+    text, arguments = _COMMAND_ARGUMENTS[args.command]
+    command = argparse.ArgumentParser(prog=f"signrank {args.command}", description=text)
+    # Copies that default to SUPPRESS never clobber values given before the command.
+    for flag, kwargs in _GLOBAL_FLAGS.items():
+        command.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+    for name, kwargs in arguments.items():
+        command.add_argument(name, **kwargs)
+    return command.parse_args(rest, args)
 
 
 def _cmd_gen(args) -> int:
@@ -272,8 +287,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         return _COMMANDS[args.command](args)
     except SizeLimitError as exc:

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import CertificationError, SizeLimitError
 from .matrix import SignMatrix, distinct_rows, regularity, to_boolean
-from .spectral import forster_bound, identity_witness, integer_certificate
-from .spectral import regular_upper_bound, spectral_signrank_lower
+from .spectral import _regular_witness, forster_bound, identity_witness, integer_certificate
 from .stabbing import RowOrdering, low_stabbing_order, vc1_path
 from .vc import dual_sign_rank, vc_dimension
 
@@ -227,26 +226,29 @@ def hinge_search_upper(
         P = U @ V.transpose(0, 2, 1)
         margins = E * P
         low = margins.min(axis=(1, 2))
-        retire = np.zeros(len(U), dtype=bool)
-        consistent = np.flatnonzero(low > 0.0)
-        if consistent.size:
-            r = consistent[0]
+        consistent = low > 0.0
+        unproven = None
+        if consistent.any():
+            r = int(consistent.argmax())
             witness = FactorizationWitness(k, U[r].copy(), V[r].copy(), float(low[r]))
             if verify_realization(witness, S):
                 return witness
-            retire[r] = True
+            unproven = r
         loss = np.maximum(1.0 - margins, 0.0).sum(axis=(1, 2))
-        # Both tests are written so that a NaN or infinite loss fails them.
-        progress = history[:, t % _WINDOW] - loss >= _PROGRESS * loss
-        near = ((margins <= 0.0).sum(axis=(1, 2)) <= _NEAR) & (loss < math.inf)
-        history[:, t % _WINDOW] = loss
-        retire |= ~(progress | near)
-        if retire.any():
-            keep = ~retire
+        # Both tests are written so that a NaN or infinite loss fails them;
+        # the wrong signs are counted only for restarts short of progress.
+        slot = t % _WINDOW
+        keep = history[:, slot] - loss >= _PROGRESS * loss
+        history[:, slot] = loss
+        if not keep.all():
+            keep |= ((margins <= 0.0).sum(axis=(1, 2)) <= _NEAR) & (loss < math.inf)
+        if unproven is not None:
+            keep[unproven] = False
+        if not keep.all():
+            if not keep.any():
+                return None
             U, V, P, margins = U[keep], V[keep], P[keep], margins[keep]
             history = history[keep]
-        if not len(U):
-            return None
         T = np.where(margins < 1.0, E, P)
         U = _lstsq_stack(V, T.transpose(0, 2, 1)).transpose(0, 2, 1)
         P = U @ V.transpose(0, 2, 1)
@@ -293,16 +295,19 @@ def lower_certificates(S: SignMatrix) -> tuple[int | None, int | None, list, lis
     a regular S with 1 <= degree <= N/2, "spectral" (regular witness). Each
     refused certificate is listed in skipped as (method, reason) by `certify`.
     """
-    Sd = distinct_rows(S)
+    return _lower_certificates(S, distinct_rows(S), regularity(to_boolean(S)).degree)
+
+
+def _lower_certificates(S: SignMatrix, Sd: SignMatrix, degree: int | None):
+    """`lower_certificates` of S, whose distinct rows Sd and degree are known."""
     skipped: list[tuple[str, str]] = []
     vc = certify("vc", lambda: vc_dimension(Sd), skipped)
     dual = certify("dual_sign_rank", lambda: dual_sign_rank(Sd, vc=vc), skipped)
     lower = [] if dual is None else [("dual_sign_rank", float(dual))]
     if S.n_rows == S.n_cols:
         methods = [("forster", lambda: forster_bound(S, identity_witness(S)))]
-        degree = regularity(to_boolean(S)).degree
         if degree and 2 * degree <= S.n_rows:
-            methods.append(("spectral", lambda: spectral_signrank_lower(S)))
+            methods.append(("spectral", lambda: forster_bound(S, _regular_witness(S, degree))))
         for method, bound in methods:
             value = certify(method, bound, skipped)
             if value is not None:
@@ -346,7 +351,8 @@ def signrank_bracket(
         rng = np.random.default_rng(0)
     Sd = distinct_rows(S)
     Std = distinct_rows(SignMatrix(Sd.entries.T))
-    vc, dual, lower, skipped = lower_certificates(S)
+    degree = regularity(to_boolean(S)).degree
+    vc, dual, lower, skipped = _lower_certificates(S, Sd, degree)
 
     upper: list[tuple[str, int]] = []
     welzl_constant = None
@@ -360,8 +366,8 @@ def signrank_bracket(
     if not _same_rows(Std, Sd):
         cols, cols_method, _ = low_stabbing_order(Std, rng.spawn(1)[0])
         upper.append((f"path_cols_{cols_method}", cols.max_sign_changes + 1))
-    if regularity(to_boolean(S)).degree is not None:
-        upper.append(("regular_degree", regular_upper_bound(S)))
+    if degree is not None:
+        upper.append(("regular_degree", 2 * degree + 1))  # as `regular_upper_bound`
     upper.append(("trivial", min(Sd.n_rows, Std.n_rows)))
 
     lo = max(1, integer_certificate(max((v for _, v in lower), default=1)))

@@ -20,18 +20,21 @@ _SIGN_OF_BYTE[[ord("+"), ord("-")]] = (1, -1)
 
 class _Matrix:
     """Immutable dense int8 matrix with at least one row and one column,
-    whose entries are among `_values` (spelled `_rule` in errors)."""
+    whose entries are among `_values` (spelled `_rule` in errors). Entries
+    are checked as given, before the cast to int8 could round or wrap them."""
 
     _kind: str
     _values: tuple[int, int]
     _rule: str
 
     def __init__(self, entries) -> None:
-        data = np.array(entries, dtype=np.int8)
+        data = np.asarray(entries)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"a {self._kind} matrix needs at least one row and one column")
-        if not np.isin(data, self._values).all():
+        low, high = self._values
+        if not ((data == low) | (data == high)).all():
             raise ValueError(f"{self._kind} matrix entries must be {self._rule}")
+        data = data.astype(np.int8)
         data.setflags(write=False)
         self._data = data
 

@@ -141,16 +141,19 @@ def regular_witness(S: SignMatrix) -> WitnessMatrix:
     W kills the all-ones vector, so its norm is (N/degree) sigma2(B); the
     degree cap is exactly what makes W*S >= 1 hold on the ones of B.
     """
-    B = to_boolean(S)
-    info = regularity(B)
-    if info.degree is None:
+    return _regular_witness(S, regularity(to_boolean(S)).degree)
+
+
+def _regular_witness(S: SignMatrix, degree: int | None) -> WitnessMatrix:
+    """`regular_witness` of S, whose degree is known."""
+    if degree is None:
         raise ValueError("matrix is not regular")
-    n, degree = S.n_rows, info.degree
+    n = S.n_rows
     if degree == 0:
         raise ValueError("degree 0 is degenerate; no ones to reweight")
     if 2 * degree > n:
         raise ValueError(f"degree {degree} exceeds half the order {n}")
-    W = (n / degree) * B.entries.astype(float) - 1.0
+    W = (n / degree) * to_boolean(S).entries.astype(float) - 1.0
     witness = WitnessMatrix(W, "regular-witness")
     if not witness_feasible(witness, S):
         raise AssertionError("regular witness is not feasible for S")

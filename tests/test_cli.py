@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -490,3 +491,98 @@ def test_global_flags_both_positions(tmp_path):
     assert main(["--seed", "9", "gen", "line-subset", "--p", "3", "--out", str(a)]) == 0
     assert main(["gen", "line-subset", "--p", "3", "--seed", "9", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# The flags every command takes, and each command's own arguments as its
+# help names them.
+GLOBAL_FLAGS = ("--seed", "--budget", "--out", "--format")
+COMMAND_ARGUMENTS = {
+    "gen": ("--n", "--d", "--p", "--planted", *signrank.cli._GENERATORS),
+    "analyze": ("input",),
+    "approx": ("input",),
+    "path": ("input",),
+    "bounds": ("input",),
+    "enumerate": ("--n", "--d", "--sample", "--samples", "--size"),
+}
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    return stop.value.code
+
+
+def test_help_names_every_command(capsys):
+    assert exit_code(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert all(word in out for word in (*COMMAND_ARGUMENTS, *GLOBAL_FLAGS))
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGUMENTS))
+def test_command_help_names_its_flags(capsys, command):
+    assert exit_code([command, "-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: signrank {command} ")
+    assert all(word in out for word in (*COMMAND_ARGUMENTS[command], *GLOBAL_FLAGS))
+
+
+def parsed(monkeypatch, argv):
+    """The namespace `main` hands the command for argv."""
+    seen = []
+    commands = {name: (lambda args: seen.append(vars(args)) or 0) for name in signrank.cli._COMMANDS}
+    monkeypatch.setattr(signrank.cli, "_COMMANDS", commands)
+    assert main(list(argv)) == 0
+    return seen[0]
+
+
+def test_global_flags_parse_the_same_in_both_positions(monkeypatch):
+    flags = ["--seed", "3", "--budget", "7", "--out", "r.txt", "--format", "text"]
+    expected = dict(command="analyze", input="m.txt", seed=3, budget=7, out="r.txt", format="text")
+    assert parsed(monkeypatch, [*flags, "analyze", "m.txt"]) == expected
+    assert parsed(monkeypatch, ["analyze", "m.txt", *flags]) == expected
+    assert parsed(monkeypatch, [*flags[:4], "analyze", *flags[4:], "m.txt"]) == expected
+    # a global flag given twice takes its value after the command
+    assert parsed(monkeypatch, ["--seed", "1", "analyze", "m.txt", "--seed", "2"])["seed"] == 2
+    assert parsed(monkeypatch, ["bounds", "m.txt"]) == dict(
+        command="bounds", input="m.txt", seed=0, budget=400, out=None, format="json"
+    )
+    assert parsed(monkeypatch, ["--seed", "5", "enumerate", "--n", "4", "--d", "2"]) == dict(
+        command="enumerate", n=4, d=2, sample=False, samples=2000, size=None,
+        seed=5, budget=400, out=None, format="json",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "4", "enumerate", "--n", "4", "--d", "2"),  # a command flag before it
+        ("frobnicate",),
+        ("analyze",),  # no input
+        (),
+        ("enumerate", "--n", "4"),  # no --d
+        ("analyze", "m.txt", "--planted"),  # another command's flag
+    ],
+)
+def test_bad_command_lines_exit_2(capsys, argv):
+    assert exit_code(argv) == 2
+    assert "usage: signrank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "signed-identity", "--n", "3"), ("--seed", "1", "enumerate", "--n", "3", "--d", "1")],
+)
+def test_one_call_builds_at_most_two_parsers(capsys, monkeypatch, argv):
+    """A call builds the parsers it reads and no others: the global one and
+    its command's."""
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(built) <= 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from signrank import (
     signrank_bracket,
     verify_realization,
 )
+from signrank import embed
 from testutil import SORTABLE_VC2, random_distinct_matrix, random_vc1_matrix
 
 
@@ -427,8 +429,6 @@ def test_bracket_trivial_ceiling(S, path, trivial, cols):
 def test_column_path_closes_hamming_ball_without_search(monkeypatch):
     """The column order closes hamming_ball(8, 2) at the dual's 5, so no
     factorization is searched."""
-    from signrank import embed
-
     calls = []
     monkeypatch.setattr(embed, "hinge_search_upper", lambda *a, **k: calls.append(a))
     report = signrank_bracket(hamming_ball(8, 2).matrix, np.random.default_rng(0))
@@ -620,3 +620,44 @@ def test_bracket_computes_vc_once(monkeypatch):
     assert ("planar_embedding", 3) in report.upper_bounds
     assert len(calls) == 1
     assert len(paths) == 1
+
+
+# Searches as `signrank_bracket` runs them, each pinned by the sha256 of its
+# witness's left and right factor bytes (None when it finds none) and its
+# number of stacked least-squares solves, two per alternation. Recorded with
+# numpy 2.4 on OpenBLAS 0.3.31 (x86-64); a numpy or BLAS build that rounds
+# differently may need them recorded again.
+GOLDEN_SEARCHES = [
+    # early witnesses
+    (lambda: disjointness(4), 0, 5,
+     "a2493ad0701f8add5fcd81619d6d8da30c22d8961d00069b512a7296cfcf8baf", 6),
+    (lambda: grid_hyperplane(4, 2), 0, 3,
+     "6f84ac422f9660538f367395be50c9091fb43582bcabb279350465b796a35c48", 10),
+    # late witnesses, after a long plateau a few wrong signs short
+    (lambda: heavy_dominant_free_random(16, 3, np.random.default_rng(2)), 15, 4,
+     "74c54340bb787d38d025731241470090af7092f0ddf17b03e84b183dafbe759a", 506),
+    (lambda: heavy_dominant_free_random(16, 3, np.random.default_rng(5)), 0, 4,
+     "a5c3db874f5fd95de62ef27941c2958acf895237c028fb984351508cff516725", 258),
+    # every restart retires
+    (lambda: projective_incidence(2), 0, 3, None, 164),
+    # the whole budget of 400 alternations
+    (lambda: heavy_dominant_free_random(16, 3, np.random.default_rng(6)), 0, 4, None, 800),
+]
+
+
+@pytest.mark.parametrize("build, seed, rank, digest, solves", GOLDEN_SEARCHES)
+def test_hinge_search_trajectories_are_pinned(monkeypatch, build, seed, rank, digest, solves):
+    """Bookkeeping changes to the alternation must leave every witness bit
+    for bit and every solve in place. The search draws from the rng the
+    bracket hands it, after the row path."""
+    calls = []
+    original = embed._lstsq_stack
+    monkeypatch.setattr(embed, "_lstsq_stack", lambda A, B: calls.append(1) or original(A, B))
+    Sd = distinct_rows(build())
+    rng = np.random.default_rng(seed)
+    low_stabbing_order(Sd, rng)
+    witness = hinge_search_upper(Sd, rank, rng)
+    found = None
+    if witness is not None:
+        found = hashlib.sha256(witness.left.tobytes() + witness.right.tobytes()).hexdigest()
+    assert (found, len(calls)) == (digest, solves)

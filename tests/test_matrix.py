@@ -137,6 +137,45 @@ def test_matrix_kinds_keep_their_messages_and_equality():
     assert repr(BooleanMatrix.ones(4, 1)) == "BooleanMatrix(4x1)"
 
 
+
+@pytest.mark.parametrize(
+    "kind, entries",
+    [
+        (SignMatrix, [[1.5, -1]]),
+        (SignMatrix, [[1, -1.0000001]]),
+        (SignMatrix, np.array([[257, -1]], dtype=np.int16)),  # 1 in int8
+        (SignMatrix, np.array([[-255, 1]], dtype=np.int32)),  # 1 in int8
+        (SignMatrix, np.array([[1, 2**40 - 1]], dtype=np.int64)),  # -1 in int8
+        (SignMatrix, [[np.nan, 1]]),
+        (SignMatrix, [[True, False]]),
+        (BooleanMatrix, [[0.7, 1]]),
+        (BooleanMatrix, np.array([[256, 1]], dtype=np.int16)),  # 0 in int8
+        (BooleanMatrix, [[0, 1], [np.inf, 0]]),
+    ],
+)
+def test_entries_are_checked_before_the_cast(kind, entries):
+    """An entry outside the two values is refused as given, never after
+    rounding or wrapping into int8."""
+    with pytest.raises(ValueError, match="entries must be"):
+        kind(entries)
+
+
+def test_exact_values_of_any_dtype_are_accepted():
+    for entries in ([[1.0, -1.0]], np.array([[1, -1]], dtype=np.int64), np.array([[1, -1]], dtype=np.float32)):
+        S = SignMatrix(entries)
+        assert S.entries.dtype == np.int8 and S == SignMatrix([[1, -1]])
+    for entries in ([[True, False]], [[1.0, 0.0]], np.array([[1, 0]], dtype=np.uint16)):
+        B = BooleanMatrix(entries)
+        assert B.entries.dtype == np.int8 and B == BooleanMatrix([[1, 0]])
+
+
+def test_entries_are_copied():
+    data = np.array([[1, -1]], dtype=np.int8)
+    S = SignMatrix(data)
+    data[0, 0] = -1
+    assert S == SignMatrix([[1, -1]])
+
+
 def test_entries_are_immutable():
     S = SignMatrix([[1, -1]])
     with pytest.raises(ValueError):

@@ -18,6 +18,58 @@ def test_no_assert_statements():
     assert found == []
 
 
+
+def is_private(dotted):
+    """Whether some part of a dotted name has a leading underscore, dunders
+    aside."""
+    return any(p.startswith("_") and not p.startswith("__") for p in dotted.split("."))
+
+
+def private_numpy_uses(tree):
+    """(line, name) for each import of a private numpy module or name, and
+    each private attribute read through a name numpy is imported as."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    aliases.add(alias.asname or "numpy")
+                    if is_private(alias.name):
+                        yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            for alias in node.names:
+                if is_private(f"{node.module}.{alias.name}"):
+                    yield node.lineno, f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in aliases:
+                yield node.lineno, ast.unparse(node)
+
+
+def test_no_private_numpy_api():
+    """No module reaches into numpy's private modules or names: calling a
+    private LAPACK wrapper such as `numpy.linalg._umath_linalg.solve`
+    directly skips the error handling that turns a singular Gram matrix into
+    LinAlgError, which the pseudoinverse fallback of the hinge search needs."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}:{name}" for line, name in private_numpy_uses(tree)]
+    assert found == []
+    bad = ast.parse(
+        "import numpy as np\nimport numpy.linalg._umath_linalg\n"
+        "from numpy.linalg import _umath_linalg\nnp.linalg._umath_linalg.solve(a, b)\n"
+        "np.linalg.solve(a, b)\nnp.__version__\n"
+    )
+    assert sorted(private_numpy_uses(bad)) == [
+        (2, "numpy.linalg._umath_linalg"),
+        (3, "numpy.linalg._umath_linalg"),
+        (4, "np.linalg._umath_linalg"),
+    ]
+
 def private_definitions(tree):
     """(name, statement) for each private top-level function, class or
     assignment target of a module."""
