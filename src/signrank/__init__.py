@@ -18,7 +18,6 @@ from .census import (
 from .embed import (
     BoundReport,
     FactorizationWitness,
-    PlanarRealization,
     approx_sign_rank,
     embed_vc1,
     hinge_search_upper,

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import MAX_CELLS, SizeLimitError
 from .vc import sauer_bound, vc_at_most
 
 MAX_EXACT_N = 4
@@ -153,9 +153,10 @@ def sample_census(
 
     The samples are drawn one rng.choice each, in order, and stacked in
     chunks of at most _STACK_CELLS bits (or one sample, if larger);
-    vc_at_most decides each chunk with
-    one scan of the (d+1)-sets of columns, which raises SizeLimitError past
-    SUBSET_BUDGET subsets while some sample has no shattered (d+1)-set.
+    vc_at_most decides each chunk with one scan of the (d+1)-sets of
+    columns, which raises SizeLimitError past SUBSET_BUDGET subsets while
+    some sample has no shattered (d+1)-set. A class of more than MAX_CELLS
+    cells (n * size) raises SizeLimitError before any draw.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -168,6 +169,8 @@ def sample_census(
         raise ValueError(f"size must be between 1 and {1 << n}")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if n * size > MAX_CELLS:
+        raise SizeLimitError(f"a class of {size} rows over {n} columns exceeds {MAX_CELLS} cells")
     chunk = max(1, _STACK_CELLS // (n * size))
     columns = np.arange(n)[:, None]
     successes = 0

@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from . import census, generators
-from .embed import certify, lower_certificates, signrank_bracket, skipped_entries
+from .embed import _lower_certificates, certify, signrank_bracket, skipped_entries
 from .errors import MatrixFormatError, SizeLimitError
 from .matrix import parse_sign_matrix, regularity, to_boolean, distinct_rows
 from .spectral import regular_upper_bound, sigma2_trace_floor, star_norm_floor, top_singular_values
@@ -99,6 +99,7 @@ def _load_matrix(path: str):
 
 def _intervals(args):
     plane = generators.ProjectiveSpace.build(args.p, 2)
+    generators._check_intervals(plane)  # before drawing any orders
     orders = None
     if args.planted:
         orders = generators.planted_line_orders(plane, np.random.default_rng(args.seed))
@@ -246,7 +247,7 @@ def _cmd_bounds(args) -> int:
     B = to_boolean(S)
     info = regularity(B)
     summary = top_singular_values(S.entries.astype(float))
-    vc, dual, lower, skipped = lower_certificates(S)
+    vc, dual, lower, skipped = _lower_certificates(S, distinct_rows(S), info.degree)
     doc = {
         "instance": os.path.basename(args.input),
         "n_rows": S.n_rows,

@@ -1,14 +1,14 @@
 """Constructive sign-rank upper bounds and certified brackets.
 
 A matrix of VC dimension one embeds in the plane: along the `vc1_path` row
-order every column's +1 rows form a cyclic arc, so rows placed at equal
-angles on the unit circle and one chord per column realize it, which pins
-its sign rank at three or less. A numerical factorization search provides
-rank-k witnesses when it happens to find them. Every witness is proven by
-one dot-product rounding bound, a planar realization as a rank-3
-factorization. `lower_certificates` gathers the lower bounds, leaving out
-any certificate that is refused, and `signrank_bracket` assembles every
-certificate into one [lower, upper] interval.
+order every column's +1 rows form a cyclic arc, so rows at equal angles on
+the unit circle and one chord per column realize it as the rank-3
+factorization [x, y, 1] [n_x, n_y, o]^T: its sign rank is at most three. A
+numerical factorization search provides rank-k witnesses when it happens to
+find them. Every witness is a `FactorizationWitness`, proven by one
+dot-product rounding bound. `lower_certificates` gathers the lower bounds,
+leaving out any certificate that is refused, and `signrank_bracket`
+assembles every certificate into one [lower, upper] interval.
 """
 
 from __future__ import annotations
@@ -23,19 +23,6 @@ from .matrix import SignMatrix, distinct_rows, regularity, to_boolean
 from .spectral import _regular_witness, forster_bound, identity_witness, integer_certificate
 from .stabbing import RowOrdering, low_stabbing_order, vc1_path
 from .vc import dual_sign_rank, vc_dimension
-
-
-@dataclass(frozen=True)
-class PlanarRealization:
-    """Unit-circle points (one per row) and halfplanes (one per column) whose
-    incidence signs reproduce a sign matrix."""
-
-    points: np.ndarray  # (rows, 2), unit norm
-    normals: np.ndarray  # (cols, 2)
-    offsets: np.ndarray  # (cols,)
-
-    def values(self) -> np.ndarray:
-        return self.points @ self.normals.T + self.offsets[None, :]
 
 
 @dataclass(frozen=True)
@@ -87,9 +74,9 @@ class BoundReport:
         return doc
 
 
-def _planar_from_order(S: SignMatrix, ordering: RowOrdering) -> PlanarRealization:
-    """Points at equal angles along a row order with at most two sign changes
-    per column, and one chord per column.
+def _planar_from_order(S: SignMatrix, ordering: RowOrdering) -> FactorizationWitness:
+    """Unit-circle points [x, y, 1] at equal angles along a row order with at
+    most two sign changes per column, and one chord [n_x, n_y, o] per column.
 
     Row perm[k] sits at angle 2 pi k / n, so every non-constant column's +1
     rows fill a cyclic arc of L consecutive points. Its halfplane has the
@@ -102,57 +89,36 @@ def _planar_from_order(S: SignMatrix, ordering: RowOrdering) -> PlanarRealizatio
     perm = list(ordering.permutation)
     plus = S.entries[perm] == 1
     angles = 2.0 * np.pi * np.arange(n) / n
-    points = np.zeros((n, 2))
-    points[perm] = np.column_stack((np.cos(angles), np.sin(angles)))
+    left = np.ones((n, 3))
+    left[perm, :2] = np.column_stack((np.cos(angles), np.sin(angles)))
     length = plus.sum(axis=0)
     start = (plus & ~np.roll(plus, 1, axis=0)).argmax(axis=0)
     mid = 2.0 * np.pi * (start + (length - 1) / 2.0) / n
-    normals = np.column_stack((np.cos(mid), np.sin(mid)))
-    offsets = -np.cos(np.pi * length / n)
+    right = np.column_stack((np.cos(mid), np.sin(mid), -np.cos(np.pi * length / n)))
     constant = (length == 0) | (length == n)
-    normals[constant] = (1.0, 0.0)
-    offsets[constant] = np.where(length[constant] == n, 2.0, -2.0)
-    return PlanarRealization(points, normals, offsets)
+    right[constant, :2] = (1.0, 0.0)
+    right[constant, 2] = np.where(length[constant] == n, 2.0, -2.0)
+    return FactorizationWitness(3, left, right, float((S.entries * (left @ right.T)).min()))
 
 
-def embed_vc1(S: SignMatrix) -> PlanarRealization:
+def embed_vc1(S: SignMatrix) -> FactorizationWitness:
     """Embed in the plane a distinct-row matrix of VC dimension at most one,
-    or any other on which `vc1_path` succeeds.
+    or any other on which `vc1_path` succeeds, as a rank-3 factorization.
 
     Rows map to unit-circle points at equal angles along the `vc1_path` row
     order, in which every column has at most two sign changes, and columns
     map to the chords that cut each column's +1 arc off from the rest.
-    `verify_realization` proves the signs with the rounding bound of a rank-3
-    factorization.
     """
     return _planar_from_order(S, vc1_path(S))
 
 
-def verify_realization(
-    witness: PlanarRealization | FactorizationWitness, S: SignMatrix
-) -> bool:
-    """Entrywise soundness check: every margin S * values must exceed the
-    rounding error of computing it, so an accepted witness has the right
-    signs in exact arithmetic (zero margins are rejected). A planar
-    realization must have unit-norm points, and its values p . n + o are
-    checked as the rank-3 factorization [points, 1] [normals, offsets]^T."""
-    if isinstance(witness, PlanarRealization):
-        if witness.points.shape != (S.n_rows, 2) or witness.normals.shape != (
-            S.n_cols,
-            2,
-        ):
-            raise ValueError("realization dimensions do not match the matrix")
-        norms = np.linalg.norm(witness.points, axis=1)
-        if not (np.abs(norms - 1.0) <= 1e-9).all():
-            return False
-        U = np.column_stack((witness.points, np.ones(S.n_rows)))
-        V = np.column_stack((witness.normals, witness.offsets))
-    elif isinstance(witness, FactorizationWitness):
-        U, V = witness.left, witness.right
-        if U.shape[0] != S.n_rows or V.shape != (S.n_cols, U.shape[1]):
-            raise ValueError("factor dimensions do not match the matrix")
-    else:
-        raise TypeError(f"cannot verify {type(witness).__name__}")
+def verify_realization(witness: FactorizationWitness, S: SignMatrix) -> bool:
+    """Entrywise soundness check: every margin S * (left @ right^T) must
+    exceed the rounding error of computing it, so an accepted witness has
+    the right signs in exact arithmetic (zero margins are rejected)."""
+    U, V = witness.left, witness.right
+    if U.shape[0] != S.n_rows or V.shape != (S.n_cols, U.shape[1]):
+        raise ValueError("factor dimensions do not match the matrix")
     # A length-k dot product computed in any order (FMA included) is off by
     # at most gamma_k |u|.|v|, gamma_k = ku/(1-ku), u = 2^-53 (Higham,
     # Accuracy and Stability of Numerical Algorithms, 3.1), plus half the

@@ -17,6 +17,11 @@ class SizeLimitError(ValueError):
     """Raised when an exact computation would exceed its documented size limit."""
 
 
+# Most cells of a generated matrix, or of one sampled census class: an int64
+# array of that many cells takes 128 MiB.
+MAX_CELLS = 4096**2
+
+
 class CertificationError(ArithmeticError):
     """Raised when a verifier cannot certify a bound. The bound is left out
     of a report rather than replaced by an unverified estimate."""

@@ -13,21 +13,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import MAX_CELLS, SizeLimitError
 from .matrix import BooleanMatrix, SignMatrix, to_signed
 from .vc import ConceptClass
 
 # Most points of a projective space: P @ P^T in int64 then takes 128 MiB.
 _MAX_POINTS = 4096
-# Most cells of any generated matrix, checked from the parameters before
-# anything is built: the same 128 MiB for an int64 intermediate. Callers
-# clamp exponents past the cap, so a huge parameter costs nothing to refuse.
-_MAX_CELLS = _MAX_POINTS**2
 
 
 def _check_size(cells: int, what: str) -> None:
-    if cells > _MAX_CELLS:
-        raise SizeLimitError(f"{what} has more than {_MAX_CELLS} cells")
+    """Refuse a matrix of more than MAX_CELLS cells, checked from the
+    parameters before anything is built. Callers clamp exponents past the
+    cap, so a huge parameter costs nothing to refuse."""
+    if cells > MAX_CELLS:
+        raise SizeLimitError(f"{what} has more than {MAX_CELLS} cells")
 
 
 def _is_prime(n: int) -> bool:
@@ -184,6 +183,12 @@ def planted_line_orders(
     return tuple(orders)
 
 
+def _check_intervals(plane: ProjectiveSpace) -> None:
+    """Refuse the interval class of a plane past the cell cap."""
+    n = plane.n_points
+    _check_size((1 + n + math.comb(n, 2)) * n, f"interval_class({plane.order})")
+
+
 def interval_class(
     p: int,
     orders: tuple[tuple[int, ...], ...] | None = None,
@@ -202,8 +207,8 @@ def interval_class(
         plane = ProjectiveSpace.build(p, 2)
     elif (plane.order, plane.dim) != (p, 2):
         raise ValueError(f"need the projective plane of order {p}")
+    _check_intervals(plane)
     n = plane.n_points
-    _check_size((1 + n + math.comb(n, 2)) * n, f"interval_class({p})")
     lines = default_line_orders(plane)
     if orders is None:
         orders = lines

@@ -44,7 +44,12 @@ from signrank import (
     verify_realization,
     welzl_path,
 )
-from testutil import random_distinct_matrix, random_sign_matrix, random_vc1_matrix
+from testutil import (
+    heavy_dominant_present,
+    random_distinct_matrix,
+    random_sign_matrix,
+    random_vc1_matrix,
+)
 
 
 def _report(number: int, label: str, started: float, limit: float) -> None:
@@ -189,7 +194,7 @@ def test_criterion_11_randomized_constructions():
             assert int((B[a] & B[b]).sum()) <= 1
     for seed in range(2):
         S = heavy_dominant_free_random(30, 3, np.random.default_rng(seed))
-        assert not _heavy_dominant_present(to_boolean(S).entries)
+        assert not heavy_dominant_present(to_boolean(S).entries)
         assert vc_dimension(S) <= 3
     _report(11, "randomized constructions keep their guarantees", started, 120.0)
 
@@ -216,26 +221,3 @@ def test_criterion_12_star_norm_consistency():
             continue
         assert witness.spectral_norm >= floor - 1e-6
     _report(12, "every witness respects the star-norm floor", started, 10.0)
-
-
-def _heavy_dominant_present(B: np.ndarray) -> bool:
-    """Independent exhaustive scan for a dominated all-ones-plus-weight-3
-    5x4 pattern (direct assignment search, no matching code shared with the
-    generator)."""
-    n = B.shape[0]
-    patterns = [(1, 1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]
-    for cols in itertools.combinations(range(n), 4):
-        sub = B[:, cols]
-        dominating = [
-            [r for r in range(n) if all(sub[r][i] >= p[i] for i in range(4))]
-            for p in patterns
-        ]
-        if any(not c for c in dominating):
-            continue
-        pool = sorted(set(itertools.chain.from_iterable(dominating)))
-        if len(pool) < 5:
-            continue
-        for choice in itertools.permutations(pool, 5):
-            if all(choice[i] in dominating[i] for i in range(5)):
-                return True
-    return False

@@ -200,6 +200,20 @@ def test_sample_census_rejects_n_past_62():
     assert est.samples == 3
 
 
+class RefusingGenerator:
+    def choice(self, *args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+
+def test_sample_census_caps_class_cells():
+    """n * size is checked against the generators' cell cap before any draw:
+    62 x 300000 is over 4096^2, and 62 x 270000 is not."""
+    with pytest.raises(SizeLimitError, match="cells"):
+        sample_census(62, 1, 300000, 1, RefusingGenerator())
+    with pytest.raises(AssertionError, match="a sample was drawn"):
+        sample_census(62, 1, 270000, 1, RefusingGenerator())
+
+
 def test_sample_census_subset_budget(monkeypatch):
     # Level 4 of the 8-cube has C(8, 4) = 70 subsets, and 16 random vertices
     # shatter none of them here, so every sample scans the whole level.

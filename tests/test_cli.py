@@ -66,6 +66,27 @@ def test_gen_size_limit_from_parameters(capsys, argv):
     assert time.perf_counter() - start < 5.0
 
 
+def test_gen_planted_intervals_refuse_before_drawing(capsys, monkeypatch):
+    """The cell cap is checked from p before any line order is drawn."""
+    calls = []
+    monkeypatch.setattr(generators, "planted_line_orders", lambda *a: calls.append(a))
+    code, out, err = run_cli(capsys, "gen", "intervals", "--p", "61", "--planted")
+    assert code == 3
+    assert out == "" and "cells" in err
+    assert calls == []
+
+
+def test_sampled_census_size_limit(capsys):
+    """A sampled class past the cell cap exits 3 before any draw (62 x 300000
+    int64 cells would be about 140 MiB per sample)."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--n", "62", "--d", "1", "--sample",
+                             "--size", "300000")
+    assert code == 3
+    assert out == "" and "cells" in err
+    assert time.perf_counter() - start < 5.0
+
+
 def test_gen_rejects_non_prime(capsys):
     code, _, err = run_cli(capsys, "gen", "projective", "--p", "4")
     assert code == 2
@@ -408,6 +429,28 @@ def test_bounds_uncertified_exit_code(tmp_path, capsys, monkeypatch):
     assert methods == ["forster_identity", "spectral_lower_bound"]
     assert not set(methods) & set(doc)
     assert doc["regular_upper_bound"] == 9
+
+
+def test_bounds_computes_the_degree_once(tmp_path, capsys, monkeypatch):
+    """`bounds` finds the degree once for its own report and its lower
+    certificates; the other two `regularity` calls are the input checks of
+    `sigma2_trace_floor` and `regular_upper_bound`. `analyze` makes one."""
+    calls = []
+    original = signrank.matrix.regularity
+
+    def counting(B):
+        calls.append(B.shape)
+        return original(B)
+
+    for module in (signrank.cli, signrank.embed, signrank.spectral):
+        monkeypatch.setattr(module, "regularity", counting)
+    matrix = tmp_path / "p3.txt"
+    matrix.write_text(generators.projective_incidence(3).to_text())
+    for command, count in (("bounds", 3), ("analyze", 1)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, command, str(matrix))
+        assert code == 0 and json.loads(out)["vc"] == 2
+        assert len(calls) == count
 
 
 def test_tol_flag_removed(tmp_path, capsys):

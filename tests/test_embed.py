@@ -7,7 +7,6 @@ import pytest
 
 from signrank import (
     FactorizationWitness,
-    PlanarRealization,
     SignMatrix,
     count_sign_changes,
     disjointness,
@@ -31,6 +30,14 @@ from signrank import embed
 from testutil import SORTABLE_VC2, random_distinct_matrix, random_vc1_matrix
 
 
+def assert_unit_circle_points(R):
+    """The left factor of a planar embedding is [points, 1] with unit-norm
+    points."""
+    assert R.rank == 3 and R.left.shape[1] == 3
+    assert (R.left[:, 2] == 1.0).all()
+    assert np.allclose(np.linalg.norm(R.left[:, :2], axis=1), 1.0, atol=1e-9)
+
+
 def test_embed_signed_identity():
     """Equal angles along the path give every column a margin of at least
     1 - cos(pi / n), the gap between a point and its arc's chord."""
@@ -38,10 +45,10 @@ def test_embed_signed_identity():
         S = signed_identity(n)
         R = embed_vc1(S)
         assert verify_realization(R, S)
-        norms = np.linalg.norm(R.points, axis=1)
-        assert np.allclose(norms, 1.0, atol=1e-9)
+        assert_unit_circle_points(R)
         margin = float((S.entries * R.values()).min())
         assert margin >= (1.0 - math.cos(math.pi / n)) * (1.0 - 1e-9)
+        assert R.min_margin == margin
 
 
 def test_embed_two_rows_one_column():
@@ -74,14 +81,55 @@ def test_embed_random_vc1_instances():
         S = random_vc1_matrix(rng)
         R = embed_vc1(S)
         assert verify_realization(R, S)
+        assert_unit_circle_points(R)
+
+
+# The planar factors of `embed_vc1`, each pinned by the sha256 of the bytes of
+# its left factor [points, 1] and right factor [normals, offsets]. The random
+# draws are `random_vc1_matrix(np.random.default_rng(seed))`; all three have
+# columns of both constant signs. Recorded with numpy 2.4 (x86-64); a libm that
+# rounds cos or sin differently may need them recorded again.
+GOLDEN_PLANAR = [
+    (lambda: signed_identity(4),
+     "d5274383bd789751737904328cdd2f1cbdcdb01b2d6a23d49459d2c0e7e7b6fa",
+     "f61129cab668633c60a987c4e20b40cc23c62907eebf4b4365d9d2feed8b1e74"),
+    (lambda: signed_identity(64),
+     "521286138aa7b25bb6140310ee7ba4f346dbbb5b7a6519c5eb39467ff80f29a1",
+     "7f65462a8db676001146a510442b5a9279ddcfa38af20023350ba43e134af9b8"),
+    (lambda: signed_identity(1000),
+     "bf41d9c5e594e690d589297413aa1941ffe78c23a7f4089df76f6de2ef483d45",
+     "8aa6d0b44053adfab69a4f644b1fe14ad9e11d77fcc7112908bd2681b1aaf318"),
+    (lambda: SORTABLE_VC2,
+     "3eb4f97846567719e0f745c4d4e728cfd6bdcf154d9c45e32047f8b2737f60de",
+     "c2a909c865286a37dec3e8f7cbe7d979c8d339545e1b45156cfc7d38f47112dd"),
+    (lambda: random_vc1_matrix(np.random.default_rng(2)),
+     "d8ba749b4e21089fd104d0502332bdc2a1f4e3ab91b389350dd81deb4d41c8ad",
+     "9d4c4baf3a9f5348a401d07e5aeef43367a188ae6837833cbffc44bff96513ff"),
+    (lambda: random_vc1_matrix(np.random.default_rng(7)),
+     "44fdc001a7fc74796fb7e20d0db8bcc8140b90bad661e3fd6d76a2165e026555",
+     "fe29f70244013a7e289c47a8668a9246a98c2c836a9f5ac9e0efe89a8d1c3bd1"),
+    (lambda: random_vc1_matrix(np.random.default_rng(19)),
+     "9ff7f61d50f248d90eefe45605ee53ac9b0bf295306958f27c27e2a2b9330c52",
+     "1a6e5e57f99355b8b41b44667c898568174599b1d82283c1ca998b19fe4dcdb3"),
+]
+
+
+@pytest.mark.parametrize("build, left_digest, right_digest", GOLDEN_PLANAR)
+def test_planar_factors_are_pinned(build, left_digest, right_digest):
+    """Changes to how the embedding is built or returned must leave its
+    factors bit for bit."""
+    S = build()
+    R = embed_vc1(S)
+    assert hashlib.sha256(R.left.tobytes()).hexdigest() == left_digest
+    assert hashlib.sha256(R.right.tobytes()).hexdigest() == right_digest
 
 
 def test_verify_rejects_flipped_halfplane():
     S = signed_identity(4)
     R = embed_vc1(S)
-    normals = R.normals.copy()
-    normals[0] = -normals[0]
-    broken = type(R)(R.points, normals, R.offsets)
+    right = R.right.copy()
+    right[0, :2] = -right[0, :2]  # the normal of column 0's halfplane
+    broken = FactorizationWitness(3, R.left, right, R.min_margin)
     assert not verify_realization(broken, S)
 
 
@@ -138,9 +186,9 @@ def test_verify_factorization_signs_are_exact():
 
 
 def test_verify_planar_signs_are_exact():
-    """Whenever the verifier accepts a planar realization, p . n + o has the
-    claimed sign in exact arithmetic, also when the offset is one ulp past
-    cancelling p . n."""
+    """Whenever the verifier accepts a planar realization [p, 1] [n, o]^T,
+    p . n + o has the claimed sign in exact arithmetic, also when the offset
+    is one ulp past cancelling p . n."""
     rng = np.random.default_rng(5)
     accepted = rejected = 0
     for trial in range(4000):
@@ -152,8 +200,11 @@ def test_verify_planar_signs_are_exact():
             offset = float(np.nextafter(offset, rng.choice([-np.inf, np.inf])))
         else:
             offset += rng.choice([-1.0, 1.0]) * 1e-6
-        R = PlanarRealization(points, normals, np.array([offset]))
-        S = SignMatrix([[1 if R.values()[0, 0] >= 0 else -1]])
+        left = np.column_stack((points, [1.0]))
+        right = np.column_stack((normals, [offset]))
+        value = float((left @ right.T)[0, 0])
+        S = SignMatrix([[1 if value >= 0 else -1]])
+        R = FactorizationWitness(3, left, right, abs(value))
         if verify_realization(R, S):
             accepted += 1
             exact = sum(

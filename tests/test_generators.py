@@ -24,6 +24,7 @@ from signrank import (
     to_boolean,
     vc_dimension,
 )
+from testutil import HEAVY_PATTERNS, heavy_dominant_present
 
 
 class ArrayStubRng:
@@ -34,28 +35,6 @@ class ArrayStubRng:
 
     def random(self, size=None):
         return np.full(size, self.value)
-
-
-def brute_heavy_dominant_present(B: np.ndarray) -> bool:
-    """Independent exhaustive check for a dominated 5x4 pattern (the all-ones
-    row plus the four weight-3 rows) using direct assignment search."""
-    n = B.shape[0]
-    patterns = [(1, 1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]
-    for cols in itertools.combinations(range(n), 4):
-        sub = B[:, cols]
-        dominating = [
-            [r for r in range(n) if all(sub[r][i] >= p[i] for i in range(4))]
-            for p in patterns
-        ]
-        if any(len(c) == 0 for c in dominating):
-            continue
-        pool = sorted(set(itertools.chain.from_iterable(dominating)))
-        if len(pool) < 5:
-            continue
-        for choice in itertools.permutations(pool, 5):
-            if all(choice[i] in dominating[i] for i in range(5)):
-                return True
-    return False
 
 
 def test_signed_identity():
@@ -217,7 +196,7 @@ def test_heavy_dominant_free_d3():
     rng = np.random.default_rng(2)
     S, log = heavy_dominant_free_random_logged(20, 3, rng)
     B = to_boolean(S).entries
-    assert not brute_heavy_dominant_present(B)
+    assert not heavy_dominant_present(B)
     assert vc_dimension(S) <= 3
     assert log["ones_final"] == log["ones_initial"] - log["ones_deleted"]
     assert log["ones_deleted"] <= 2 * log["occurrences"]
@@ -230,7 +209,18 @@ def test_heavy_dominant_free_d3_dense_draw_gets_cleaned():
     S, log = heavy_dominant_free_random_logged(8, 3, ArrayStubRng(0.0))
     B = to_boolean(S).entries
     assert log["occurrences"] > 0
-    assert not brute_heavy_dominant_present(B)
+    assert not heavy_dominant_present(B)
+
+
+def test_heavy_dominant_check_finds_a_planted_pattern():
+    """The reference check sees the pattern planted on scattered rows and
+    columns, and misses it once the all-ones row loses a one."""
+    B = np.zeros((12, 12), dtype=np.int8)
+    rows, cols = [11, 2, 7, 5, 9], [1, 4, 6, 10]
+    B[np.ix_(rows, cols)] = HEAVY_PATTERNS
+    assert heavy_dominant_present(B)
+    B[11, 6] = 0
+    assert not heavy_dominant_present(B)
 
 
 def test_heavy_dominant_free_all_zero_draw():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from signrank import ConceptClass, SignMatrix, distinct_rows, hamming_ball
@@ -80,6 +82,33 @@ def one_inclusion_connected(C: ConceptClass) -> bool:
         if (grown == reach).all():
             return bool(reach.all())
         reach = grown
+
+
+# The dense 5x4 pattern that forces VC dimension 4: the all-ones row and the
+# four rows of weight 3.
+HEAVY_PATTERNS = np.array([(1, 1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)])
+
+
+def heavy_dominant_present(B: np.ndarray) -> bool:
+    """Independent exhaustive check for a dominated heavy pattern: 5 distinct
+    rows of the boolean matrix B that dominate the rows of HEAVY_PATTERNS on
+    some 4 columns, by direct assignment search (no matching code shared with
+    the generator). The rows dominating each pattern are found in numpy for
+    4096 column sets at a time; each set with a dominating row for every
+    pattern and at least 5 in all is searched over permutations of them."""
+    col_sets = np.array(list(itertools.combinations(range(B.shape[1]), 4)), dtype=np.intp)
+    for start in range(0, len(col_sets), 4096):
+        sets = col_sets[start:start + 4096]
+        # dom[p, r, s]: row r dominates pattern p on column set s
+        dom = (B[:, sets][None] >= HEAVY_PATTERNS[:, None, None]).all(axis=3)
+        live = dom.any(axis=1).all(axis=0) & (dom.any(axis=0).sum(axis=0) >= 5)
+        for s in np.flatnonzero(live):
+            dominating = [np.flatnonzero(d).tolist() for d in dom[:, :, s]]
+            pool = sorted(set(itertools.chain.from_iterable(dominating)))
+            for choice in itertools.permutations(pool, 5):
+                if all(choice[i] in dominating[i] for i in range(5)):
+                    return True
+    return False
 
 
 # VC dimension 2, yet the `vc1_path` sort leaves at most two sign changes in
