@@ -21,7 +21,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -70,13 +69,15 @@ def _report(args, doc: dict, skipped: list[tuple[str, str]]) -> int:
 
 def _write_text(text: str, out_path: str | None) -> None:
     """Write text to stdout, or atomically to out_path through a temporary
-    file beside it. A path that cannot be written is an input error."""
+    file beside it, created as `open` would create the file: mode 0666 less
+    the umask. A path that cannot be written is an input error."""
     if out_path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
+    tmp = os.path.join(directory, f".signrank-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".signrank-")
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
@@ -247,7 +248,7 @@ def _cmd_bounds(args) -> int:
     B = to_boolean(S)
     info = regularity(B)
     summary = top_singular_values(S.entries.astype(float))
-    vc, dual, lower, skipped = _lower_certificates(S, distinct_rows(S), info.degree)
+    vc, dual, lower, skipped = _lower_certificates(S, info.degree)
     doc = {
         "instance": os.path.basename(args.input),
         "n_rows": S.n_rows,

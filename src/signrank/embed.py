@@ -1,14 +1,16 @@
 """Constructive sign-rank upper bounds and certified brackets.
 
-A matrix of VC dimension one embeds in the plane: along the `vc1_path` row
-order every column's +1 rows form a cyclic arc, so rows at equal angles on
-the unit circle and one chord per column realize it as the rank-3
-factorization [x, y, 1] [n_x, n_y, o]^T: its sign rank is at most three. A
-numerical factorization search provides rank-k witnesses when it happens to
-find them. Every witness is a `FactorizationWitness`, proven by one
-dot-product rounding bound. `lower_certificates` gathers the lower bounds,
-leaving out any certificate that is refused, and `signrank_bracket`
-assembles every certificate into one [lower, upper] interval.
+Upper bounds come from row orders with few sign changes: the moment curve
+realizes an order with c changes per column in dimension c + 1. At VC
+dimension one the `vc1_path` order leaves every column's +1 rows a cyclic
+arc, so rows at equal angles on the unit circle and one chord per column
+realize the matrix as the rank-3 factorization [x, y, 1] [n_x, n_y, o]^T
+(`embed_vc1`). A numerical factorization search provides rank-k witnesses
+when it happens to find them. Every witness is a `FactorizationWitness`,
+proven by one dot-product rounding bound. `lower_certificates` gathers the
+lower bounds, leaving out any certificate that is refused, and
+`signrank_bracket` assembles the certificates into one [lower, upper]
+interval.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import CertificationError, SizeLimitError
 from .matrix import SignMatrix, distinct_rows, regularity, to_boolean
 from .spectral import _regular_witness, forster_bound, identity_witness, integer_certificate
-from .stabbing import RowOrdering, low_stabbing_order, vc1_path
+from .stabbing import low_stabbing_order, vc1_path
 from .vc import dual_sign_rank, vc_dimension
 
 
@@ -74,9 +76,11 @@ class BoundReport:
         return doc
 
 
-def _planar_from_order(S: SignMatrix, ordering: RowOrdering) -> FactorizationWitness:
-    """Unit-circle points [x, y, 1] at equal angles along a row order with at
-    most two sign changes per column, and one chord [n_x, n_y, o] per column.
+def embed_vc1(S: SignMatrix) -> FactorizationWitness:
+    """Embed in the plane a distinct-row matrix of VC dimension at most one,
+    or any other on which `vc1_path` succeeds, as a rank-3 factorization:
+    unit-circle points [x, y, 1] along the `vc1_path` row order, with at most
+    two sign changes per column, and one chord [n_x, n_y, o] per column.
 
     Row perm[k] sits at angle 2 pi k / n, so every non-constant column's +1
     rows fill a cyclic arc of L consecutive points. Its halfplane has the
@@ -86,7 +90,7 @@ def _planar_from_order(S: SignMatrix, ordering: RowOrdering) -> FactorizationWit
     constant column misses the circle: normal (1, 0) and offset +-2.
     """
     n = S.n_rows
-    perm = list(ordering.permutation)
+    perm = list(vc1_path(S).permutation)
     plus = S.entries[perm] == 1
     angles = 2.0 * np.pi * np.arange(n) / n
     left = np.ones((n, 3))
@@ -99,17 +103,6 @@ def _planar_from_order(S: SignMatrix, ordering: RowOrdering) -> FactorizationWit
     right[constant, :2] = (1.0, 0.0)
     right[constant, 2] = np.where(length[constant] == n, 2.0, -2.0)
     return FactorizationWitness(3, left, right, float((S.entries * (left @ right.T)).min()))
-
-
-def embed_vc1(S: SignMatrix) -> FactorizationWitness:
-    """Embed in the plane a distinct-row matrix of VC dimension at most one,
-    or any other on which `vc1_path` succeeds, as a rank-3 factorization.
-
-    Rows map to unit-circle points at equal angles along the `vc1_path` row
-    order, in which every column has at most two sign changes, and columns
-    map to the chords that cut each column's +1 arc off from the rest.
-    """
-    return _planar_from_order(S, vc1_path(S))
 
 
 def verify_realization(witness: FactorizationWitness, S: SignMatrix) -> bool:
@@ -261,11 +254,12 @@ def lower_certificates(S: SignMatrix) -> tuple[int | None, int | None, list, lis
     a regular S with 1 <= degree <= N/2, "spectral" (regular witness). Each
     refused certificate is listed in skipped as (method, reason) by `certify`.
     """
-    return _lower_certificates(S, distinct_rows(S), regularity(to_boolean(S)).degree)
+    return _lower_certificates(S, regularity(to_boolean(S)).degree)
 
 
-def _lower_certificates(S: SignMatrix, Sd: SignMatrix, degree: int | None):
-    """`lower_certificates` of S, whose distinct rows Sd and degree are known."""
+def _lower_certificates(S: SignMatrix, degree: int | None):
+    """`lower_certificates` of S, whose degree is known."""
+    Sd = distinct_rows(S)
     skipped: list[tuple[str, str]] = []
     vc = certify("vc", lambda: vc_dimension(Sd), skipped)
     dual = certify("dual_sign_rank", lambda: dual_sign_rank(Sd, vc=vc), skipped)
@@ -297,19 +291,19 @@ def signrank_bracket(
     """Assemble every available certificate into a sign-rank bracket.
 
     Lower bounds: those of `lower_certificates`; with none, the lower end is
-    1. Upper bounds: one plus the sign changes of a low-stabbing path, three
-    when that path is the VC-1 sort, as it always is at VC dimension at most
-    one (a planar embedding along its order, once verified), 2*degree + 1 for
-    regular matrices, min(distinct rows, distinct columns) (sign rank is at
-    most rank), and any verified factorization found at the current lower
-    end. Sign rank is invariant under transposition, so a column order with
-    few sign changes in every row bounds it too ("path_cols_*", drawn from
-    `rng.spawn(1)[0]`, which leaves `rng` where it was); it is skipped when
-    the distinct columns are the distinct rows as a set, as on symmetric
-    matrices, where it would repeat the row path's work. A failed
-    factorization search never moves the lower end, and a refused
-    certificate is left out and listed in `skipped`. A negative
-    `hinge_alternations` raises ValueError even when no search runs.
+    1. Upper bounds: one plus the sign changes of a low-stabbing row order of
+    the distinct rows ("path_vc1" or "path_welzl"), and any verified
+    factorization found at the current lower end. Sign rank is invariant
+    under transposition, so a column order with few sign changes in every
+    row bounds it too ("path_cols_*", drawn from `rng.spawn(1)[0]`, which
+    leaves `rng` where it was); it is skipped when the distinct columns are
+    the distinct rows as a set, as on symmetric matrices, where it would
+    repeat the row path's work. The paths never exceed min(distinct rows,
+    distinct columns), nor 2*degree + 1 on regular matrices, nor three as
+    the VC-1 sort, so those bounds are not listed. A failed factorization
+    search never moves the lower end, and a refused certificate is left out
+    and listed in `skipped`. A negative `hinge_alternations` raises
+    ValueError even when no search runs.
     """
     if hinge_alternations < 0:
         raise ValueError(_BAD_BUDGET)
@@ -318,23 +312,17 @@ def signrank_bracket(
     Sd = distinct_rows(S)
     Std = distinct_rows(SignMatrix(Sd.entries.T))
     degree = regularity(to_boolean(S)).degree
-    vc, dual, lower, skipped = _lower_certificates(S, Sd, degree)
+    vc, dual, lower, skipped = _lower_certificates(S, degree)
 
     upper: list[tuple[str, int]] = []
     welzl_constant = None
     ordering, method, _ = low_stabbing_order(Sd, rng)
     upper.append((f"path_{method}", ordering.max_sign_changes + 1))
-    if method == "vc1":
-        if verify_realization(_planar_from_order(Sd, ordering), Sd):
-            upper.append(("planar_embedding", 3))
-    elif vc is not None:
+    if method == "welzl" and vc is not None:
         welzl_constant = ordering.constant(vc)
     if not _same_rows(Std, Sd):
         cols, cols_method, _ = low_stabbing_order(Std, rng.spawn(1)[0])
         upper.append((f"path_cols_{cols_method}", cols.max_sign_changes + 1))
-    if degree is not None:
-        upper.append(("regular_degree", 2 * degree + 1))  # as `regular_upper_bound`
-    upper.append(("trivial", min(Sd.n_rows, Std.n_rows)))
 
     lo = max(1, integer_certificate(max((v for _, v in lower), default=1)))
     hi = min(v for _, v in upper)

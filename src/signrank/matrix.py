@@ -2,7 +2,8 @@
 
 The two representations are linked entrywise by S = 2B - J, with J the
 all-ones matrix. Matrices are immutable after construction, so they are safe
-to share between concurrent readers.
+to share between concurrent readers; `distinct_rows` keeps its answer on the
+matrix, and readers that race to set it set the same one.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ class SignMatrix(_Matrix):
     """Immutable dense matrix whose entries are exactly +1 or -1."""
 
     _kind, _values, _rule = "sign", (-1, 1), "+1 or -1"
+    # Set by `distinct_rows`: its distinct rows, or True when that is the
+    # matrix itself (no self-reference, so dropping the matrix frees it).
+    _distinct: "SignMatrix | bool | None" = None
 
     def row_tuples(self) -> list[tuple[int, ...]]:
         return [tuple(int(v) for v in row) for row in self._data]
@@ -167,14 +171,19 @@ def regularity(B: BooleanMatrix) -> RegularityInfo:
 
 def distinct_rows(S: SignMatrix) -> SignMatrix:
     """Drop duplicate rows, keeping the first occurrence of each; S itself
-    when its rows are already distinct."""
-    data = np.ascontiguousarray(S.entries)
-    # One opaque item per row makes the dedupe a 1-d unique.
-    rows = data.view(np.dtype((np.void, data.shape[1]))).ravel()
-    keep = np.sort(np.unique(rows, return_index=True)[1])
-    if len(keep) == S.n_rows:
-        return S
-    return SignMatrix(data[keep])
+    when its rows are already distinct. The answer is kept on S and on the
+    result, so each matrix is deduplicated once."""
+    if S._distinct is None:
+        data = np.ascontiguousarray(S.entries)
+        # One opaque item per row makes the dedupe a 1-d unique.
+        rows = data.view(np.dtype((np.void, data.shape[1]))).ravel()
+        keep = np.sort(np.unique(rows, return_index=True)[1])
+        if len(keep) == S.n_rows:
+            S._distinct = True
+        else:
+            S._distinct = SignMatrix(data[keep])
+            S._distinct._distinct = True
+    return S if S._distinct is True else S._distinct
 
 
 def has_distinct_rows(S: SignMatrix) -> bool:

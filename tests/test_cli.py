@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import stat
 import time
 
 import numpy as np
@@ -184,6 +186,19 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys, target, reason):
     assert err == f"error: cannot write {out}: {reason}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["id3.txt", "taken"]
     assert list((tmp_path / "taken").iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_out_file_mode_follows_the_umask(tmp_path, umask, mode):
+    """A new --out file gets mode 0666 less the umask, as `open` gives it."""
+    matrix, report = tmp_path / "id3.txt", tmp_path / "r.json"
+    old = os.umask(umask)
+    try:
+        assert main(["gen", "signed-identity", "--n", "3", "--out", str(matrix)]) == 0
+        assert main(["analyze", str(matrix), "--out", str(report)]) == 0
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (matrix, report)] == [mode, mode]
 
 
 def test_analyze_parse_error_reports_line(tmp_path, capsys):
@@ -451,6 +466,21 @@ def test_bounds_computes_the_degree_once(tmp_path, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, command, str(matrix))
         assert code == 0 and json.loads(out)["vc"] == 2
         assert len(calls) == count
+
+
+def test_each_matrix_is_deduplicated_once(tmp_path, capsys, monkeypatch):
+    """`analyze` deduplicates the rows and then the columns once each, and
+    `bounds` and `path` the rows once: every later distinct-row check reads
+    the answer kept on the matrix."""
+    calls = []
+    original = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or original(*a, **k))
+    matrix = tmp_path / "ls3.txt"
+    matrix.write_text(generators.line_subset_random(3, np.random.default_rng(2)).to_text())
+    for command, count in (("analyze", 2), ("bounds", 1), ("path", 1)):
+        calls.clear()
+        code, _, _ = run_cli(capsys, command, str(matrix))
+        assert (code, len(calls)) == (0, count)
 
 
 def test_tol_flag_removed(tmp_path, capsys):

@@ -21,13 +21,15 @@ from signrank import (
     line_subset_random,
     low_stabbing_order,
     projective_incidence,
+    regularity,
     sc_star_bruteforce,
     signed_identity,
     signrank_bracket,
+    to_boolean,
     verify_realization,
 )
 from signrank import embed
-from testutil import SORTABLE_VC2, random_distinct_matrix, random_vc1_matrix
+from testutil import SORTABLE_VC2, random_distinct_matrix, random_sign_matrix, random_vc1_matrix
 
 
 def assert_unit_circle_points(R):
@@ -66,13 +68,14 @@ def test_embed_rejects_vc2_and_duplicates():
 
 def test_embed_sortable_vc2_matrix():
     """A VC-2 matrix whose sort leaves two changes per column embeds in the
-    plane, and the bracket lists that embedding."""
+    plane, and the bracket's row path is that sort, at the embedding's
+    three."""
     S = SORTABLE_VC2
     assert verify_realization(embed_vc1(S), S)
     report = signrank_bracket(S, np.random.default_rng(0))
     assert report.vc == 2
     assert ("path_vc1", 3) in report.upper_bounds
-    assert ("planar_embedding", 3) in report.upper_bounds
+    assert report.bracket[1] <= 3
 
 
 def test_embed_random_vc1_instances():
@@ -469,11 +472,14 @@ def test_hinge_search_rejects_negative_budget():
 def test_bracket_trivial_ceiling(S, path, trivial, cols):
     """Sign rank is at most min(rows, cols) of the distinct rows, below the
     Welzl path's bound on these tall matrices; an order of their few columns
-    does better still, and closes the Hamming balls at the dual."""
+    is at most that ceiling, does better still, and closes the Hamming balls
+    at the dual."""
+    Sd = distinct_rows(S)
+    assert min(Sd.n_rows, distinct_rows(SignMatrix(Sd.entries.T)).n_rows) == trivial
     report = signrank_bracket(S, np.random.default_rng(0))
     assert ("path_welzl", path) in report.upper_bounds
-    assert ("trivial", trivial) in report.upper_bounds
     assert ("path_cols_welzl", cols) in report.upper_bounds
+    assert cols < trivial < path
     assert report.bracket == (5, cols)
 
 
@@ -539,11 +545,52 @@ def test_column_path_value_is_counted_on_the_transpose(S, seed):
 
 def test_trivial_reads_distinct_columns():
     """Sign rank is at most the rank, so at most the number of distinct
-    columns as well as of distinct rows."""
+    columns as well as of distinct rows: the column path, over the distinct
+    columns, never exceeds it."""
     H = hamming_ball(4, 2).matrix.entries
     report = signrank_bracket(SignMatrix(np.hstack((H, H))), np.random.default_rng(0))
     assert report.n_cols == 8
-    assert ("trivial", 4) in report.upper_bounds
+    (value,) = [v for m, v in report.upper_bounds if m.startswith("path_cols_")]
+    assert value <= 4 and report.bracket[1] <= 4
+
+
+def classical_bound_instances():
+    """Random matrices (duplicate rows and columns allowed), random VC-1
+    matrices, circulants of every degree and signed identities."""
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        yield random_sign_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+    for _ in range(10):
+        yield random_vc1_matrix(rng)
+    for n in (5, 8, 12):
+        for ones in range(n + 1):
+            base = np.full(n, -1, dtype=np.int8)
+            base[rng.choice(n, size=ones, replace=False)] = 1
+            yield SignMatrix([np.roll(base, k) for k in range(n)])
+    for n in (4, 8, 16):
+        yield signed_identity(n)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_paths_meet_the_classical_upper_bounds(seed):
+    """With no factorization search, the paths alone keep hi within
+    min(distinct rows, distinct columns) (sign rank is at most rank), within
+    2 * degree + 1 on regular matrices, and within three when the row path
+    is the VC-1 sort (the planar embedding)."""
+    seen = set()
+    for S in classical_bound_instances():
+        report = signrank_bracket(S, np.random.default_rng(seed), hinge_alternations=0)
+        hi = report.bracket[1]
+        Sd = distinct_rows(S)
+        assert hi <= min(Sd.n_rows, distinct_rows(SignMatrix(Sd.entries.T)).n_rows)
+        degree = regularity(to_boolean(S)).degree
+        if degree is not None:
+            assert hi <= 2 * degree + 1
+            seen.add("regular")
+        if report.upper_bounds[0][0] == "path_vc1":
+            assert hi <= 3
+            seen.add("vc1")
+    assert seen == {"regular", "vc1"}
 
 
 def test_bracket_signed_identity():
@@ -579,7 +626,8 @@ def test_bracket_projective():
     assert lo <= hi
     values = dict((m, v) for m, v in report.lower_bounds)
     assert values["spectral"] == pytest.approx(4 / math.sqrt(3), abs=1e-4)
-    assert ("regular_degree", 9) in report.upper_bounds
+    # the regular plane's 2 * 4 + 1: every column has four +1 entries
+    assert ("path_welzl", 9) in report.upper_bounds
 
 
 def test_bracket_json_schema():
@@ -644,8 +692,7 @@ def test_approx_respects_vc1_cap():
 
 def test_bracket_computes_vc_once(monkeypatch):
     """The bracket computes the VC dimension once, the VC-1 path computes
-    none, and the embedding reuses the bracket's VC-1 path instead of
-    sorting again."""
+    none, and the VC-1 path is sorted once."""
     from signrank import embed, stabbing, vc
 
     calls = []
@@ -668,7 +715,7 @@ def test_bracket_computes_vc_once(monkeypatch):
         monkeypatch.setattr(module, "vc1_path", counting_path)
     report = signrank_bracket(signed_identity(32), np.random.default_rng(0))
     assert report.vc == 1
-    assert ("planar_embedding", 3) in report.upper_bounds
+    assert ("path_vc1", 3) in report.upper_bounds
     assert len(calls) == 1
     assert len(paths) == 1
 

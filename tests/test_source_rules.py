@@ -70,6 +70,27 @@ def test_no_private_numpy_api():
         (4, "np.linalg._umath_linalg"),
     ]
 
+
+def test_only_matrix_calls_numpy_unique():
+    """Row identity has one implementation, `matrix.distinct_rows`, which
+    keeps its answer on the matrix: no other module calls `np.unique` (or
+    one of its `unique_*` variants) or imports it from numpy."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "matrix.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.startswith("unique")]
+    assert found == []
+
+
 def private_definitions(tree):
     """(name, statement) for each private top-level function, class or
     assignment target of a module."""
