@@ -122,14 +122,11 @@ def enumerate_census(n: int, d: int) -> CensusResult:
     """Exact counts of non-empty classes over n columns (n <= 4): classes of
     VC dimension exactly d and at most d, the maximum classes among them, and
     whether every maximum class is a connected piece of the cube."""
-    _check_exact_n(n)
-    if d < 0 or d > n:
-        raise ValueError(f"d must be between 0 and {n}")
+    max_masks = maximum_class_masks(n, d)
     vc, sizes = _census_tables(n)
     nonempty = sizes > 0
     count_exact = int(((vc == d) & nonempty).sum())
     count_at_most = int(((vc <= d) & nonempty).sum())
-    max_masks = maximum_class_masks(n, d)
     all_connected = all(
         cube_connected((u for u in range(1 << n) if (m >> u) & 1), n) for m in max_masks
     )

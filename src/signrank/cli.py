@@ -99,97 +99,44 @@ def _load_matrix(path: str):
 
 
 def _intervals(args):
-    plane = generators.ProjectiveSpace.build(args.p, 2)
-    generators._check_intervals(plane)  # before drawing any orders
     orders = None
     if args.planted:
+        plane = generators.ProjectiveSpace.build(args.p, 2)
+        generators._check_intervals(plane)  # before drawing any orders
         orders = generators.planted_line_orders(plane, np.random.default_rng(args.seed))
-    return generators.interval_class(args.p, orders, plane).matrix
+    return generators.interval_class(args.p, orders).matrix
 
 
-# Each `gen` generator: the flags it needs, and its builder from the parsed
-# arguments. A builder that draws makes its own generator from --seed.
+# Each `gen` generator: the flags it needs, the optional flags it reads, and
+# its builder from the parsed arguments. A builder that draws makes its own
+# generator from --seed.
 _GENERATORS = {
-    "signed-identity": (("n",), lambda a: generators.signed_identity(a.n)),
-    "disjointness": (("n",), lambda a: generators.disjointness(a.n)),
-    "projective": (("p",), lambda a: generators.projective_incidence(
+    "signed-identity": (("n",), (), lambda a: generators.signed_identity(a.n)),
+    "disjointness": (("n",), (), lambda a: generators.disjointness(a.n)),
+    "projective": (("p",), ("d",), lambda a: generators.projective_incidence(
         a.p, 2 if a.d is None else a.d)),
-    "hamming-ball": (("n", "d"), lambda a: generators.hamming_ball(a.n, a.d).matrix),
-    "grid": (("n", "d"), lambda a: generators.grid_hyperplane(a.n, a.d)),
-    "intervals": (("p",), _intervals),
-    "line-subset": (("p",), lambda a: generators.line_subset_random(
+    "hamming-ball": (("n", "d"), (), lambda a: generators.hamming_ball(a.n, a.d).matrix),
+    "grid": (("n", "d"), (), lambda a: generators.grid_hyperplane(a.n, a.d)),
+    "intervals": (("p",), ("planted",), _intervals),
+    "line-subset": (("p",), (), lambda a: generators.line_subset_random(
         a.p, np.random.default_rng(a.seed))),
-    "heavy-free": (("n", "d"), lambda a: generators.heavy_dominant_free_random(
+    "heavy-free": (("n", "d"), (), lambda a: generators.heavy_dominant_free_random(
         a.n, a.d, np.random.default_rng(a.seed))),
 }
-
-
-# The flags every command takes, before or after its name.
-_GLOBAL_FLAGS = {
-    "--seed": dict(type=int, help="seed for all randomness"),
-    "--budget": dict(type=int, help="at most N hinge alternations per restart in analyze"),
-    "--out": dict(help="output path (default stdout)"),
-    "--format": dict(choices=("text", "json")),
-}
-_INPUT = {"input": dict(help="matrix file in '+'/'-' format")}
-
-# Each command's one-line help and its own arguments.
-_COMMAND_ARGUMENTS = {
-    "gen": ("write a generated matrix in text format", {
-        "generator": dict(choices=_GENERATORS),
-        "--n": dict(type=int),
-        "--d": dict(type=int),
-        "--p": dict(type=int),
-        "--planted": dict(action="store_true", help="plant random prefix line orders"),
-    }),
-    "analyze": ("full bound report for a matrix file", _INPUT),
-    "approx": ("multiplicative sign-rank approximation", _INPUT),
-    "path": ("low-stabbing row ordering", _INPUT),
-    "bounds": ("spectral certificates and floors only", _INPUT),
-    "enumerate": ("census of classes by VC dimension", {
-        "--n": dict(type=int, required=True),
-        "--d": dict(type=int, required=True),
-        "--sample": dict(action="store_true", help="Monte Carlo estimate"),
-        "--samples": dict(type=int, default=2000),
-        "--size": dict(type=int, help="class size to sample"),
-    }),
-}
-
-
-def _parse(argv) -> argparse.Namespace:
-    """Parse argv in two steps: the global flags and the command's name,
-    then the rest by a parser for that command alone, so a call builds two
-    parsers rather than one for every command."""
-    commands = "".join(f"  {name:11s}{text}\n" for name, (text, _) in _COMMAND_ARGUMENTS.items())
-    parser = argparse.ArgumentParser(
-        prog="signrank",
-        description="Sign-rank certificates, orderings, generators, and censuses",
-        epilog=f"commands:\n{commands}\n'signrank COMMAND -h' lists the flags of a command",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    for flag, kwargs in _GLOBAL_FLAGS.items():
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(seed=0, budget=400, out=None, format="json")
-    parser.add_argument("command", choices=_COMMAND_ARGUMENTS, metavar="COMMAND",
-                        help="one of the commands below")
-    parser.add_argument("rest", nargs=argparse.REMAINDER, metavar="ARGS", help="its arguments")
-    args = parser.parse_args(argv)
-    rest = vars(args).pop("rest")
-    text, arguments = _COMMAND_ARGUMENTS[args.command]
-    command = argparse.ArgumentParser(prog=f"signrank {args.command}", description=text)
-    # Copies that default to SUPPRESS never clobber values given before the command.
-    for flag, kwargs in _GLOBAL_FLAGS.items():
-        command.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
-    for name, kwargs in arguments.items():
-        command.add_argument(name, **kwargs)
-    return command.parse_args(rest, args)
+# The flags of `gen`, each None unless given.
+_GEN_FLAGS = {"--n": dict(type=int), "--d": dict(type=int), "--p": dict(type=int),
+              "--planted": dict(action="store_true", default=None,
+                                help="plant random prefix line orders")}
 
 
 def _cmd_gen(args) -> int:
-    flags, build = _GENERATORS[args.generator]
-    missing = [f for f in flags if getattr(args, f) is None]
-    if missing:
-        raise ValueError(f"generator {args.generator!r} needs --" + ", --".join(missing))
+    needed, optional, build = _GENERATORS[args.generator]
+    given = [f[2:] for f in _GEN_FLAGS if getattr(args, f[2:]) is not None]
+    missing = [f for f in needed if f not in given]
+    unread = [f for f in given if f not in needed + optional]
+    for problem, flags in (("needs", missing), ("does not read", unread)):
+        if flags:
+            raise ValueError(f"generator {args.generator!r} {problem} --" + ", --".join(flags))
     _write_text(build(args).to_text(), args.out)
     return EXIT_OK
 
@@ -268,6 +215,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.size is not None and not args.sample:
+        raise ValueError("--size needs --sample (the exact census counts classes of every size)")
     if args.sample:
         if args.size is None:
             raise ValueError("--sample needs --size (the class size to draw)")
@@ -278,20 +227,66 @@ def _cmd_enumerate(args) -> int:
     return _report(args, dataclasses.asdict(result), [])
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "analyze": _cmd_analyze,
-    "approx": _cmd_path,
-    "path": _cmd_path,
-    "bounds": _cmd_bounds,
-    "enumerate": _cmd_enumerate,
+# The flags every command takes, before or after its name.
+_GLOBAL_FLAGS = {
+    "--seed": dict(type=int, default=0, help="seed for all randomness"),
+    "--budget": dict(type=int, default=400,
+                     help="at most N hinge alternations per restart in analyze"),
+    "--out": dict(help="output path (default stdout)"),
+    "--format": dict(choices=("text", "json"), default="json"),
 }
+_INPUT = {"input": dict(help="matrix file in '+'/'-' format")}
+
+# Each command: its handler, its one-line help and its own arguments.
+_COMMANDS = {
+    "gen": (_cmd_gen, "write a generated matrix in text format",
+            {"generator": dict(choices=_GENERATORS), **_GEN_FLAGS}),
+    "analyze": (_cmd_analyze, "full bound report for a matrix file", _INPUT),
+    "approx": (_cmd_path, "multiplicative sign-rank approximation", _INPUT),
+    "path": (_cmd_path, "low-stabbing row ordering", _INPUT),
+    "bounds": (_cmd_bounds, "spectral certificates and floors only", _INPUT),
+    "enumerate": (_cmd_enumerate, "census of classes by VC dimension", {
+        "--n": dict(type=int, required=True),
+        "--d": dict(type=int, required=True),
+        "--sample": dict(action="store_true", help="Monte Carlo estimate"),
+        "--samples": dict(type=int, default=2000),
+        "--size": dict(type=int, help="class size to sample"),
+    }),
+}
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv in two steps: the global flags and the command's name,
+    then the rest by a parser for that command alone, so a call builds two
+    parsers rather than one for every command."""
+    commands = "".join(f"  {name:11s}{text}\n" for name, (_, text, _) in _COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog="signrank",
+        description="Sign-rank certificates, orderings, generators, and censuses",
+        epilog=f"commands:\n{commands}\n'signrank COMMAND -h' lists the flags of a command",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    for flag, kwargs in _GLOBAL_FLAGS.items():
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND",
+                        help="one of the commands below")
+    parser.add_argument("rest", nargs=argparse.REMAINDER, metavar="ARGS", help="its arguments")
+    args = parser.parse_args(argv)
+    rest = vars(args).pop("rest")
+    _, text, arguments = _COMMANDS[args.command]
+    command = argparse.ArgumentParser(prog=f"signrank {args.command}", description=text)
+    # Copies that default to SUPPRESS never clobber values given before the command.
+    for flag, kwargs in _GLOBAL_FLAGS.items():
+        command.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
+    for name, kwargs in arguments.items():
+        command.add_argument(name, **kwargs)
+    return command.parse_args(rest, args)
 
 
 def main(argv=None) -> int:
     args = _parse(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE

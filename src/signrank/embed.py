@@ -311,8 +311,7 @@ def signrank_bracket(
         rng = np.random.default_rng(0)
     Sd = distinct_rows(S)
     Std = distinct_rows(SignMatrix(Sd.entries.T))
-    degree = regularity(to_boolean(S)).degree
-    vc, dual, lower, skipped = _lower_certificates(S, degree)
+    vc, dual, lower, skipped = lower_certificates(S)
 
     upper: list[tuple[str, int]] = []
     welzl_constant = None

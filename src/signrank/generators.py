@@ -189,24 +189,16 @@ def _check_intervals(plane: ProjectiveSpace) -> None:
     _check_size((1 + n + math.comb(n, 2)) * n, f"interval_class({plane.order})")
 
 
-def interval_class(
-    p: int,
-    orders: tuple[tuple[int, ...], ...] | None = None,
-    plane: ProjectiveSpace | None = None,
-) -> ConceptClass:
+def interval_class(p: int, orders: tuple[tuple[int, ...], ...] | None = None) -> ConceptClass:
     """Over the projective plane of order p: the empty set, all singletons,
     and every contiguous run of length >= 2 of every ordered line, as +1/-1
     indicator vectors over the plane's points.
 
     `orders` holds one ordering of each line's points, aligned with
-    `default_line_orders`, which is the default; `plane` is the plane of
-    order p when the caller has built it already. The class has
+    `default_line_orders`, which is the default. The class has
     1 + N + C(N, 2) members with N = p^2 + p + 1.
     """
-    if plane is None:
-        plane = ProjectiveSpace.build(p, 2)
-    elif (plane.order, plane.dim) != (p, 2):
-        raise ValueError(f"need the projective plane of order {p}")
+    plane = ProjectiveSpace.build(p, 2)
     _check_intervals(plane)
     n = plane.n_points
     lines = default_line_orders(plane)

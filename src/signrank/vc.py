@@ -69,14 +69,6 @@ def _subsets(m: int, k: int, size: int, batch: int = 1) -> Iterator[np.ndarray]:
         batch = min(2 * batch, size)
 
 
-def _refusal(m: int, k: int) -> SizeLimitError:
-    return SizeLimitError(
-        f"examined {SUBSET_BUDGET} of {math.comb(m, k)} column subsets "
-        f"of size {k} without an answer, the budget of {SUBSET_BUDGET}; "
-        "this input is too large for the exact search"
-    )
-
-
 def _packed(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 0/1 columns bits (..., columns, rows) as row masks: uint64 words
     of shape (..., columns, W), one bit per row and zero padding past the
@@ -185,7 +177,11 @@ def _some_shattered(packed: tuple[np.ndarray, np.ndarray], k: int, antipodal: bo
     sets = math.comb(m, k)
     found = _scan(packed, k, antipodal, min(sets, SUBSET_BUDGET))
     if sets > SUBSET_BUDGET and not found.all():
-        raise _refusal(m, k)
+        raise SizeLimitError(
+            f"examined {SUBSET_BUDGET} of {sets} column subsets "
+            f"of size {k} without an answer, the budget of {SUBSET_BUDGET}; "
+            "this input is too large for the exact search"
+        )
     return found
 
 

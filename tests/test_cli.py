@@ -78,6 +78,49 @@ def test_gen_planted_intervals_refuse_before_drawing(capsys, monkeypatch):
     assert calls == []
 
 
+def test_gen_planted_intervals_cap_boundary(capsys, monkeypatch):
+    """Order 19 is the first plane whose interval class passes the cell cap
+    (381 points); with --planted it is refused before any line order is
+    drawn."""
+    calls = []
+    monkeypatch.setattr(generators, "planted_line_orders", lambda *a: calls.append(a))
+    code, out, err = run_cli(capsys, "gen", "intervals", "--p", "19", "--planted")
+    assert code == 3
+    assert out == "" and "interval_class(19)" in err
+    assert calls == []
+
+
+# Per generator, `gen` arguments with one flag it does not read, and that flag.
+UNREAD_FLAGS = {
+    "signed-identity": (["--n", "3", "--planted"], "--planted"),
+    "disjointness": (["--n", "3", "--d", "2"], "--d"),
+    "projective": (["--p", "3", "--n", "4"], "--n"),
+    "hamming-ball": (["--n", "6", "--d", "2", "--p", "3"], "--p"),
+    "grid": (["--n", "4", "--d", "2", "--p", "0"], "--p"),  # a zero is given too
+    "intervals": (["--p", "3", "--d", "2"], "--d"),
+    "line-subset": (["--p", "3", "--planted"], "--planted"),
+    "heavy-free": (["--n", "16", "--d", "3", "--planted", "--seed", "2"], "--planted"),
+}
+
+
+@pytest.mark.parametrize("generator", UNREAD_FLAGS)
+def test_gen_refuses_flags_its_generator_does_not_read(capsys, generator):
+    """A `gen` flag the chosen generator never reads is refused, not
+    dropped, whatever global flags come with it."""
+    argv, flag = UNREAD_FLAGS[generator]
+    code, out, err = run_cli(capsys, "gen", generator, *argv)
+    assert code == 2
+    assert out == "" and f"does not read {flag}" in err
+
+
+def test_enumerate_size_needs_sample(capsys):
+    """--size without --sample is refused: the exact census has no class
+    size to draw, and would ignore it."""
+    code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--d", "2", "--size", "5")
+    assert code == 2
+    assert out == "" and "--size needs --sample" in err
+
+
 def test_sampled_census_size_limit(capsys):
     """A sampled class past the cell cap exits 3 before any draw (62 x 300000
     int64 cells would be about 140 MiB per sample)."""
@@ -602,7 +645,8 @@ def test_command_help_names_its_flags(capsys, command):
 def parsed(monkeypatch, argv):
     """The namespace `main` hands the command for argv."""
     seen = []
-    commands = {name: (lambda args: seen.append(vars(args)) or 0) for name in signrank.cli._COMMANDS}
+    stub = lambda args: seen.append(vars(args)) or 0
+    commands = {name: (stub, *row[1:]) for name, row in signrank.cli._COMMANDS.items()}
     monkeypatch.setattr(signrank.cli, "_COMMANDS", commands)
     assert main(list(argv)) == 0
     return seen[0]

@@ -287,6 +287,15 @@ def test_generator_output_is_pinned(name):
     assert hashlib.sha256(build().to_text().encode()).hexdigest() == digest
 
 
+def test_interval_class_cap_boundary():
+    """Order 17 is the largest plane whose interval class fits the cell cap:
+    307 points and 1 + 307 + C(307, 2) = 47279 members. Order 19 (381
+    points) is refused."""
+    assert interval_class(17).matrix.shape == (47279, 307)
+    with pytest.raises(SizeLimitError, match="interval_class\\(19\\)"):
+        interval_class(19)
+
+
 def test_generators_cap_their_output_size():
     """The cap holds at 4096^2 cells, one past it is refused."""
     with pytest.raises(SizeLimitError):

@@ -1,6 +1,9 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import signrank
@@ -255,3 +258,31 @@ def test_module_layering():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert found == LAYERS
+
+
+def public_callables(name):
+    """The public functions and classes called name in `signrank` or one of
+    its modules."""
+    modules = [signrank, *(importlib.import_module(f"signrank.{p.stem}") for p in PACKAGE.glob("[!_]*.py"))]
+    found = {getattr(module, name, None) for module in modules}
+    return [obj for obj in found if inspect.isfunction(obj) or inspect.isclass(obj)]
+
+
+def test_readme_signatures_match_the_code():
+    """Each backticked `name(a, b=...)` in README.md whose arguments are all
+    identifiers lists, in order, the leading parameters of the public
+    function or class it names. Literal calls such as `hamming_ball(8, 2)`
+    are examples, not signatures, and are not checked."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    checked, wrong = 0, []
+    for name, args in re.findall(r"`(\w+)\(([^`()]*)\)`", readme):
+        names = [a.split("=")[0].strip() for a in args.split(",")]
+        if not all(n.isidentifier() for n in names):
+            continue
+        for obj in public_callables(name):
+            checked += 1
+            params = list(inspect.signature(obj).parameters)
+            if params[: len(names)] != names:
+                wrong.append(f"{name}({args}) against {name}({', '.join(params)})")
+    assert checked >= 12  # the README tour names 12, so the pattern cannot go stale
+    assert wrong == []
