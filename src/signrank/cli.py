@@ -215,13 +215,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.size is not None and not args.sample:
-        raise ValueError("--size needs --sample (the exact census counts classes of every size)")
+    for flag, value in (("--size", args.size), ("--samples", args.samples)):
+        if value is not None and not args.sample:
+            raise ValueError(f"{flag} needs --sample (the exact census counts every class)")
     if args.sample:
         if args.size is None:
             raise ValueError("--sample needs --size (the class size to draw)")
         rng = np.random.default_rng(args.seed)
-        result = census.sample_census(args.n, args.d, args.size, args.samples, rng)
+        samples = 2000 if args.samples is None else args.samples
+        result = census.sample_census(args.n, args.d, args.size, samples, rng)
     else:
         result = census.enumerate_census(args.n, args.d)
     return _report(args, dataclasses.asdict(result), [])
@@ -249,7 +251,7 @@ _COMMANDS = {
         "--n": dict(type=int, required=True),
         "--d": dict(type=int, required=True),
         "--sample": dict(action="store_true", help="Monte Carlo estimate"),
-        "--samples": dict(type=int, default=2000),
+        "--samples": dict(type=int, help="classes to draw with --sample (default 2000)"),
         "--size": dict(type=int, help="class size to sample"),
     }),
 }

@@ -126,15 +126,17 @@ def verify_realization(witness: FactorizationWitness, S: SignMatrix) -> bool:
     return bool((S.entries * (U @ V.T) > bound).all())
 
 
-def _lstsq_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Least-squares solutions X of A X ~ B for a stack of matrices, by the
-    normal equations; the pseudoinverse serves the whole stack when LAPACK
-    finds a Gram matrix singular."""
-    At = A.transpose(0, 2, 1)
+def _refit(X: np.ndarray, A: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The least-squares refit of a stack of factors X against the targets
+    X A^T + R, in residual form: X + R A G^-1, where G = A^T A is the k x k
+    Gram matrix, inverted by one solve with k right-hand sides. When LAPACK
+    finds some Gram matrix singular, the pseudoinverse of A applies the same
+    correction to the whole stack."""
     try:
-        return np.linalg.solve(At @ A, At @ B)
+        Ginv = np.linalg.solve(A.transpose(0, 2, 1) @ A, np.eye(A.shape[2]))
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(A) @ B
+        return X + R @ np.linalg.pinv(A).transpose(0, 2, 1)
+    return X + R @ (A @ Ginv)
 
 
 # A restart retires unless its hinge loss fell by at least _PROGRESS of its
@@ -159,8 +161,11 @@ def hinge_search_upper(
 
     Each side is refit by exact least squares against targets that pull
     hinge-active entries to +-1 and leave inactive entries at their current
-    prediction. All restarts advance in lockstep as one stack, each starting
-    from its own draw of `rng` (restart r from the r-th (U, V) pair). At
+    prediction. The targets differ from the prediction by S * H, H the hinge
+    matrix max(0, 1 - S * (U V^T)) that the loss sums, so each refit is a
+    correction through the k x k Gram matrix of the other side (`_refit`).
+    All restarts advance in lockstep as one stack, each starting from its
+    own draw of `rng` (restart r from the r-th (U, V) pair). At
     alternation t a restart retires unless its loss fell by at least 0.2 of
     its current value since alternation t - 50 (losses before the start count
     as +inf) or at most 3 of its margins are not positive. A non-finite loss
@@ -175,15 +180,15 @@ def hinge_search_upper(
         raise ValueError("rank must be at least 1")
     if max_alternations < 0:
         raise ValueError(_BAD_BUDGET)
-    E = S.entries.astype(float)
-    n_rows, n_cols = E.shape
+    n_rows, n_cols = S.shape
+    E = np.tile(S.entries.astype(float), (restarts, 1, 1))
     start = rng.standard_normal((restarts, (n_rows + n_cols) * k))
     U = start[:, : n_rows * k].reshape(restarts, n_rows, k)
     V = start[:, n_rows * k :].reshape(restarts, n_cols, k)
     history = np.full((restarts, _WINDOW), math.inf)
     for t in range(max_alternations):
-        P = U @ V.transpose(0, 2, 1)
-        margins = E * P
+        margins = U @ V.transpose(0, 2, 1)
+        margins *= E
         low = margins.min(axis=(1, 2))
         consistent = low > 0.0
         unproven = None
@@ -193,7 +198,9 @@ def hinge_search_upper(
             if verify_realization(witness, S):
                 return witness
             unproven = r
-        loss = np.maximum(1.0 - margins, 0.0).sum(axis=(1, 2))
+        H = 1.0 - margins
+        np.maximum(H, 0.0, out=H)
+        loss = H.sum(axis=(1, 2))
         # Both tests are written so that a NaN or infinite loss fails them;
         # the wrong signs are counted only for restarts short of progress.
         slot = t % _WINDOW
@@ -206,13 +213,12 @@ def hinge_search_upper(
         if not keep.all():
             if not keep.any():
                 return None
-            U, V, P, margins = U[keep], V[keep], P[keep], margins[keep]
-            history = history[keep]
-        T = np.where(margins < 1.0, E, P)
-        U = _lstsq_stack(V, T.transpose(0, 2, 1)).transpose(0, 2, 1)
-        P = U @ V.transpose(0, 2, 1)
-        T = np.where(E * P < 1.0, E, P)
-        V = _lstsq_stack(U, T).transpose(0, 2, 1)
+            U, V, E, H, history = U[keep], V[keep], E[keep], H[keep], history[keep]
+        U = _refit(U, V, np.multiply(H, E, out=H))
+        H = U @ V.transpose(0, 2, 1)
+        np.subtract(1.0, np.multiply(H, E, out=H), out=H)
+        np.maximum(H, 0.0, out=H)
+        V = _refit(V, U, np.multiply(H, E, out=H).transpose(0, 2, 1))
     return None
 
 

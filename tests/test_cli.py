@@ -121,6 +121,16 @@ def test_enumerate_size_needs_sample(capsys):
     assert out == "" and "--size needs --sample" in err
 
 
+def test_enumerate_samples_needs_sample(capsys):
+    """--samples without --sample is refused rather than dropped; with
+    --sample it defaults to 2000 draws."""
+    code, out, err = run_cli(capsys, "enumerate", "--n", "3", "--d", "1", "--samples", "5")
+    assert code == 2
+    assert out == "" and "--samples needs --sample" in err
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--d", "1", "--sample", "--size", "4")
+    assert code == 0 and json.loads(out)["samples"] == 2000
+
+
 def test_sampled_census_size_limit(capsys):
     """A sampled class past the cell cap exits 3 before any draw (62 x 300000
     int64 cells would be about 140 MiB per sample)."""
@@ -664,7 +674,7 @@ def test_global_flags_parse_the_same_in_both_positions(monkeypatch):
         command="bounds", input="m.txt", seed=0, budget=400, out=None, format="json"
     )
     assert parsed(monkeypatch, ["--seed", "5", "enumerate", "--n", "4", "--d", "2"]) == dict(
-        command="enumerate", n=4, d=2, sample=False, samples=2000, size=None,
+        command="enumerate", n=4, d=2, sample=False, samples=None, size=None,
         seed=5, budget=400, out=None, format="json",
     )
 

@@ -722,22 +722,24 @@ def test_bracket_computes_vc_once(monkeypatch):
 
 # Searches as `signrank_bracket` runs them, each pinned by the sha256 of its
 # witness's left and right factor bytes (None when it finds none) and its
-# number of stacked least-squares solves, two per alternation. Recorded with
+# number of `np.linalg.solve` calls, two per alternation. Recorded with
 # numpy 2.4 on OpenBLAS 0.3.31 (x86-64); a numpy or BLAS build that rounds
 # differently may need them recorded again.
 GOLDEN_SEARCHES = [
     # early witnesses
     (lambda: disjointness(4), 0, 5,
-     "a2493ad0701f8add5fcd81619d6d8da30c22d8961d00069b512a7296cfcf8baf", 6),
+     "dce16d3ac25f72f527320a6aee6b46a05dd83d6ac5182d807a032974a2453a07", 6),
     (lambda: grid_hyperplane(4, 2), 0, 3,
-     "6f84ac422f9660538f367395be50c9091fb43582bcabb279350465b796a35c48", 10),
+     "755fc7f80db9c33d89ab745a66cc5200589bbbe493ebd44e93e9fec62780419e", 10),
     # late witnesses, after a long plateau a few wrong signs short
     (lambda: heavy_dominant_free_random(16, 3, np.random.default_rng(2)), 15, 4,
-     "74c54340bb787d38d025731241470090af7092f0ddf17b03e84b183dafbe759a", 506),
+     "0578a01f9e1fe6ed8a0be285f22d791c2c2f64cafa1272316cffff2a6559cd31", 506),
     (lambda: heavy_dominant_free_random(16, 3, np.random.default_rng(5)), 0, 4,
-     "a5c3db874f5fd95de62ef27941c2958acf895237c028fb984351508cff516725", 258),
+     "cef24b16b52ef8c826801cdbca588ec9cf7d6ad38231ad87c5d6ce726746957c", 258),
     # every restart retires
     (lambda: projective_incidence(2), 0, 3, None, 164),
+    # ... on a tall matrix (92x13)
+    (lambda: interval_class(3).matrix, 0, 5, None, 192),
     # the whole budget of 400 alternations
     (lambda: heavy_dominant_free_random(16, 3, np.random.default_rng(6)), 0, 4, None, 800),
 ]
@@ -746,11 +748,11 @@ GOLDEN_SEARCHES = [
 @pytest.mark.parametrize("build, seed, rank, digest, solves", GOLDEN_SEARCHES)
 def test_hinge_search_trajectories_are_pinned(monkeypatch, build, seed, rank, digest, solves):
     """Bookkeeping changes to the alternation must leave every witness bit
-    for bit and every solve in place. The search draws from the rng the
-    bracket hands it, after the row path."""
-    calls = []
-    original = embed._lstsq_stack
-    monkeypatch.setattr(embed, "_lstsq_stack", lambda A, B: calls.append(1) or original(A, B))
+    for bit and every solve in place. A change to its arithmetic may record
+    the digests again, but must keep every solve count: the restarts still
+    retire and succeed at the same alternations. The search draws from the
+    rng the bracket hands it, after the row path."""
+    calls = count_solves(monkeypatch)
     Sd = distinct_rows(build())
     rng = np.random.default_rng(seed)
     low_stabbing_order(Sd, rng)
@@ -759,3 +761,66 @@ def test_hinge_search_trajectories_are_pinned(monkeypatch, build, seed, rank, di
     if witness is not None:
         found = hashlib.sha256(witness.left.tobytes() + witness.right.tobytes()).hexdigest()
     assert (found, len(calls)) == (digest, solves)
+
+
+@pytest.mark.parametrize(
+    "S, k, alternations",
+    [
+        (interval_class(3).matrix, 5, 400),  # tall, 92x13
+        (SignMatrix(interval_class(3).matrix.entries.T), 5, 400),  # wide
+        (signed_identity(4), 1, 20),
+    ],
+)
+def test_hinge_search_solves_only_k_by_k_systems(monkeypatch, S, k, alternations):
+    """Each refit inverts its k x k Gram matrix: every solve has a k x k
+    left-hand side and exactly k right-hand sides, never one per matrix
+    row or column."""
+    calls = count_solves(monkeypatch)
+    counted, rhs = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: rhs.append(b.shape) or counted(a, b))
+    hinge_search_upper(S, k, np.random.default_rng(0), max_alternations=alternations)
+    assert calls and len(rhs) == len(calls)
+    assert all(a[-2:] == (k, k) for a in calls)
+    assert all(b[-2:] == (k, k) for b in rhs)
+
+
+def lstsq_refit(X, A, R):
+    """Reference refit: each restart's least-squares solution Y of
+    Y A^T ~ X A^T + R, by `np.linalg.lstsq`."""
+    return np.stack([
+        np.linalg.lstsq(a, (x @ a.T + r).T, rcond=None)[0].T for x, a, r in zip(X, A, R)
+    ])
+
+
+def test_refit_matches_per_restart_lstsq():
+    """On full-rank stacks, tall and wide, the residual-form refit is the
+    least-squares refit to a relative error of 1e-10."""
+    rng = np.random.default_rng(47)
+    for k in range(1, 7):
+        for n, m in ((40, k + 3), (k + 3, 40), (30, 30)):
+            restarts = int(rng.integers(1, 7))
+            X = rng.standard_normal((restarts, n, k))
+            A = rng.standard_normal((restarts, m, k))
+            R = rng.standard_normal((restarts, n, m))
+            expected = lstsq_refit(X, A, R)
+            got = embed._refit(X, A, R)
+            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_refit_singular_gram_takes_the_pseudoinverse(monkeypatch):
+    """A zero column makes a Gram matrix singular: the whole stack is refit
+    through the pseudoinverse, and its fitted values are still the least-
+    squares ones."""
+    pinvs = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: pinvs.append(a.shape) or pinv(a))
+    rng = np.random.default_rng(53)
+    X = rng.standard_normal((3, 9, 4))
+    A = rng.standard_normal((3, 7, 4))
+    A[1, :, 2] = 0.0
+    R = rng.standard_normal((3, 9, 7))
+    got = embed._refit(X, A, R)
+    assert pinvs == [(3, 7, 4)]
+    fitted = got @ A.transpose(0, 2, 1)
+    expected = lstsq_refit(X, A, R) @ A.transpose(0, 2, 1)
+    assert np.linalg.norm(fitted - expected) <= 1e-10 * np.linalg.norm(expected)
