@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CertificationError, SizeLimitError
 from .matrix import SignMatrix, distinct_rows, regularity, to_boolean
-from .spectral import _regular_witness, forster_bound, identity_witness, integer_certificate
+from .spectral import _gamma, _regular_witness, forster_bound, identity_witness, integer_certificate
 from .stabbing import low_stabbing_order, vc1_path
 from .vc import dual_sign_rank, vc_dimension
 
@@ -121,8 +121,7 @@ def verify_realization(witness: FactorizationWitness, S: SignMatrix) -> bool:
     # the bound proves the exact sign; a non-finite factor makes some
     # comparison false.
     k = U.shape[1]
-    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
-    bound = 2.0 * gamma * (np.abs(U) @ np.abs(V).T) + k * 2.0**-1074
+    bound = 2.0 * _gamma(k) * (np.abs(U) @ np.abs(V).T) + k * 2.0**-1074
     return bool((S.entries * (U @ V.T) > bound).all())
 
 

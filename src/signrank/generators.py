@@ -51,25 +51,23 @@ class ProjectiveSpace:
 
     @classmethod
     def build(cls, order: int, dim: int) -> "ProjectiveSpace":
+        """The canonical vectors among `np.indices`, in its lexicographic
+        order. An order above 4096 is refused before the primality test (it
+        has more than order^2 points), a dimension above 12 before the exact
+        count (it has more than 2^13 - 1)."""
+        if order > _MAX_POINTS:
+            raise SizeLimitError(f"order {order}: at most {_MAX_POINTS} points are supported")
         if not _is_prime(order):
             raise ValueError(f"order {order} is not prime")
         if dim < 2:
             raise ValueError("projective dimension must be at least 2")
+        if dim > 12:
+            raise SizeLimitError(f"dimension {dim}: at most {_MAX_POINTS} points are supported")
         expected = (order ** (dim + 1) - 1) // (order - 1)
         if expected > _MAX_POINTS:
             raise SizeLimitError(f"{expected} points; at most {_MAX_POINTS} are supported")
-        # In lexicographic order the points whose leading 1 sits last come
-        # first; the coordinates after the leading 1 run over all base-order
-        # digit strings, most significant digit first.
-        blocks = []
-        for lead in range(dim, -1, -1):
-            tail = dim - lead
-            block = np.zeros((order**tail, dim + 1), dtype=np.int64)
-            block[:, lead] = 1
-            place = order ** np.arange(tail - 1, -1, -1)
-            block[:, lead + 1:] = np.arange(order**tail)[:, None] // place % order
-            blocks.append(block)
-        pts = np.concatenate(blocks)
+        vecs = np.indices((order,) * (dim + 1)).reshape(dim + 1, -1).T
+        pts = vecs[vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)] == 1]
         if len(pts) != expected:
             raise AssertionError(f"found {len(pts)} points, expected {expected}")
         return cls(order, dim, tuple(map(tuple, pts.tolist())))
@@ -124,27 +122,27 @@ def projective_incidence(p: int, d: int = 2) -> SignMatrix:
     return to_signed(space.incidence_boolean())
 
 
+def _indicators(members: list[tuple[int, ...]], n: int) -> ConceptClass:
+    """The +1/-1 indicator vectors over n points of the member tuples."""
+    rows = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    data = np.full((len(members), n), -1, dtype=np.int8)
+    data[rows, list(itertools.chain.from_iterable(members))] = 1
+    return ConceptClass(SignMatrix(data))
+
+
 def hamming_ball(n: int, d: int) -> ConceptClass:
-    """All vectors in {+1,-1}^n with at most d coordinates equal to +1,
-    enumerated in increasing binary order."""
+    """All vectors in {+1,-1}^n with at most d coordinates equal to +1, in
+    increasing binary order: the tuples of their +1 coordinates, largest
+    first, sorted."""
     if d < 0 or d > n:
         raise ValueError(f"radius d={d} must be between 0 and n={n}")
     rows = 0
     for w in range(d + 1):
         rows += math.comb(n, w)
         _check_size(rows * n, f"hamming_ball({n}, {d})")
-    # Row k lists the +1 coordinates of a vector, largest first, padded with
-    # -1; mask order is the lexicographic order of these rows.
-    plus = np.full((rows, max(d, 1)), -1, dtype=np.intp)
-    start = 0
-    for w in range(1, d + 1):
-        combos = np.array(list(itertools.combinations(range(n - 1, -1, -1), w)), dtype=np.intp)
-        plus[start + 1:start + 1 + len(combos), :w] = combos
-        start += len(combos)
-    plus = plus[np.lexsort(plus.T[::-1])]  # np.lexsort sorts by its last key first
-    data = np.full((rows, n + 1), -1, dtype=np.int8)  # column n absorbs the padding
-    data[np.arange(rows)[:, None], plus] = 1
-    return ConceptClass(SignMatrix(data[:, :n]))
+    coords = range(n - 1, -1, -1)
+    members = sorted(c for w in range(d + 1) for c in itertools.combinations(coords, w))
+    return _indicators(members, n)
 
 
 def grid_hyperplane(n: int, d: int) -> SignMatrix:
@@ -219,10 +217,7 @@ def interval_class(p: int, orders: tuple[tuple[int, ...], ...] | None = None) ->
     expected = 1 + n + math.comb(n, 2)
     if len(members) != expected:
         raise AssertionError(f"built {len(members)} rows, expected {expected}")
-    rows = np.repeat(np.arange(len(members)), [len(m) for m in members])
-    data = np.full((len(members), n), -1, dtype=np.int8)
-    data[rows, list(itertools.chain.from_iterable(members))] = 1
-    return ConceptClass(SignMatrix(data))
+    return _indicators(members, n)
 
 
 def line_subset_random(p: int, rng: np.random.Generator) -> SignMatrix:
@@ -299,18 +294,20 @@ def heavy_dominant_free_random_logged(
         min_weight = d - 1
         deletions_per_hit = 3
     width = d + 1
-    patterns = [m for m in range(1 << width) if m.bit_count() >= min_weight]
-    full_pattern_index = patterns.index((1 << width) - 1)
+    # The masks with at most width - min_weight zero bits, increasing, so the
+    # all-ones one comes last; none when width > n leaves no column set.
+    patterns = [] if width > n else sorted(
+        (1 << width) - 1 - sum(1 << b for b in z)
+        for k in range(width - min_weight + 1) for z in itertools.combinations(range(width), k))
 
     B = (rng.random((n, n)) < prob).astype(np.int8)
     ones_initial = int(B.sum())
 
-    hits = 0
-    deleted = 0
+    hits = deleted = 0
     # Column sets in lexicographic order, 2^14 at a time, with an upper-bound
     # prefilter: deletions only remove ones, so a set that fails it now never
-    # qualifies later.
-    combos = itertools.combinations(range(n), width)
+    # qualifies later. None qualifies when there are fewer rows than patterns.
+    combos = itertools.combinations(range(n), width) if 0 < len(patterns) <= n else ()
     while chunk := list(itertools.islice(combos, 2**14)):
         col_sets = np.array(chunk, dtype=np.intp)
         indicator = np.zeros((len(col_sets), n), dtype=np.int8)
@@ -324,7 +321,7 @@ def heavy_dominant_free_random_logged(
                 if assignment is None:
                     break
                 hits += 1
-                row = assignment[full_pattern_index]
+                row = assignment[len(patterns) - 1]  # the all-ones pattern
                 ones = cols[B[row, cols] == 1][:deletions_per_hit]
                 B[row, ones] = 0
                 deleted += len(ones)

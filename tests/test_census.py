@@ -109,6 +109,14 @@ def test_sample_census_degenerate_inputs():
         sample_census(2, 1, 5, 10, rng)
 
 
+def test_sample_census_refuses_n_zero_and_d_past_n():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        sample_census(0, 0, 1, 10, rng)
+    with pytest.raises(ValueError, match="d must be between 0 and 3"):
+        sample_census(3, 4, 2, 10, rng)
+
+
 def test_sample_census_trivial_fractions():
     rng = np.random.default_rng(1)
     # d = n: every class qualifies

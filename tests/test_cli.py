@@ -68,6 +68,66 @@ def test_gen_size_limit_from_parameters(capsys, argv):
     assert time.perf_counter() - start < 5.0
 
 
+BIG = str(10**100)
+MERSENNE_127 = str(2**127 - 1)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("signed-identity", "--n", BIG), 3, "cells"),
+        (("disjointness", "--n", BIG), 3, "cells"),
+        (("grid", "--n", BIG, "--d", BIG), 3, "cells"),
+        (("hamming-ball", "--n", BIG, "--d", BIG), 3, "cells"),
+        (("projective", "--p", "2", "--d", "20000"), 3, "dimension 20000: at most 4096 points"),
+        (("projective", "--p", "2", "--d", BIG), 3, "at most 4096 points"),
+        (("projective", "--p", MERSENNE_127), 3, "at most 4096 points"),
+        (("intervals", "--p", MERSENNE_127, "--planted"), 3, "at most 4096 points"),
+        (("line-subset", "--p", MERSENNE_127), 3, "at most 4096 points"),
+        (("projective", "--p", "5000"), 3, "order 5000: at most 4096 points"),  # not prime
+        (("projective", "--p", "4", "--d", "40"), 2, "order 4 is not prime"),
+        (("projective", "--p", "67"), 3, "4557 points; at most 4096 are supported"),
+    ],
+)
+def test_gen_refuses_absurd_parameters_at_once(capsys, argv, code, message):
+    """No generator does work that grows with a parameter before it refuses
+    it. A projective space is refused from its order and dimension: an order
+    above 4096 before the primality test, a dimension above 12 before the
+    exact point count. Orders up to 4096 are still tested for primality
+    first."""
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, "gen", *argv)
+    assert time.perf_counter() - start < 5.0
+    assert got == code
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("n, d, code", [(BIG, "3", 3), ("10", "1000000", 0), ("10", BIG, 0)])
+def test_gen_heavy_free_absurd_parameters(capsys, n, d, code):
+    """Too many rows are refused; with more pattern columns than matrix
+    columns no pattern can occur, and the draw is returned at once."""
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, "gen", "heavy-free", "--n", n, "--d", d)
+    assert time.perf_counter() - start < 5.0
+    assert got == code
+    if code:
+        assert out == "" and "n <= 40" in err
+    else:
+        draw = generators.heavy_dominant_free_random(10, int(d), np.random.default_rng(0))
+        assert err == "" and parse_sign_matrix(out) == draw
+
+
+def test_gen_large_order_skips_the_primality_test(capsys, monkeypatch):
+    """Trial division up to the square root of a 14-digit prime is never
+    run: the order alone is past the point limit."""
+    calls = []
+    monkeypatch.setattr(generators, "_is_prime", lambda n: calls.append(n))
+    code, out, err = run_cli(capsys, "gen", "line-subset", "--p", "99999999999973")
+    assert code == 3
+    assert out == "" and "at most 4096" in err
+    assert calls == []
+
+
 def test_gen_planted_intervals_refuse_before_drawing(capsys, monkeypatch):
     """The cell cap is checked from p before any line order is drawn."""
     calls = []
@@ -129,6 +189,19 @@ def test_enumerate_samples_needs_sample(capsys):
     assert out == "" and "--samples needs --sample" in err
     code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--d", "1", "--sample", "--size", "4")
     assert code == 0 and json.loads(out)["samples"] == 2000
+
+
+def test_enumerate_sample_needs_size(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--d", "2", "--sample")
+    assert code == 2
+    assert out == "" and "--sample needs --size" in err
+
+
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(capsys, "analyze", str(missing))
+    assert code == 2
+    assert out == "" and f"cannot read {missing}" in err
 
 
 def test_sampled_census_size_limit(capsys):

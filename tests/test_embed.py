@@ -262,6 +262,11 @@ def test_hinge_search_all_plus_rank1():
     assert verify_realization(w, S)
 
 
+def test_hinge_search_refuses_rank_zero():
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        hinge_search_upper(signed_identity(3), 0, np.random.default_rng(0))
+
+
 def test_hinge_search_signed_identity():
     S = signed_identity(4)
     w3 = hinge_search_upper(S, 3, np.random.default_rng(0))

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from signrank import (
     to_boolean,
     vc_dimension,
 )
+from signrank import generators
 from testutil import HEAVY_PATTERNS, heavy_dominant_present
 
 
@@ -251,14 +253,58 @@ def test_heavy_dominant_free_validation():
         heavy_dominant_free_random(0, 3, rng)
 
 
-@pytest.mark.parametrize("n, d", [(10, 12), (5, 5), (1, 3)])
+@pytest.mark.parametrize("n, d", [(10, 12), (5, 5), (1, 3), (10, 40), (25, 24)])
 def test_heavy_dominant_free_without_column_sets(n, d):
-    # Fewer than d + 1 columns: no pattern can occur, so the draw is returned.
+    # Fewer than d + 1 columns, or (25, 24) fewer rows than patterns: no
+    # pattern can occur, so the draw is returned.
     S, log = heavy_dominant_free_random_logged(n, d, np.random.default_rng(6))
     draw = np.random.default_rng(6).random((n, n)) < log["probability"]
     assert (to_boolean(S).entries == draw).all()
     assert log["occurrences"] == log["ones_deleted"] == 0
     assert log["ones_final"] == log["ones_initial"] == int(draw.sum())
+
+
+@pytest.mark.parametrize("n, d, min_weight", [(8, 3, 3), (22, 5, 4)])
+def test_heavy_dominant_free_lists_every_heavy_pattern(monkeypatch, n, d, min_weight):
+    """The patterns matched on an all-ones draw are every (d+1)-bit mask of
+    weight at least min_weight, in increasing order. (At d = 5 they are 22,
+    so n = 22 is the least n that can hold them.)"""
+
+    class Seen(Exception):
+        pass
+
+    def spy(masks, patterns):
+        raise Seen(patterns)
+
+    monkeypatch.setattr(generators, "_dominating_assignment", spy)
+    with pytest.raises(Seen) as seen:
+        heavy_dominant_free_random_logged(n, d, ArrayStubRng(0.0))
+    expected = [m for m in range(1 << d + 1) if m.bit_count() >= min_weight]
+    assert seen.value.args[0] == expected
+
+
+def test_heavy_dominant_free_scans_no_set_with_fewer_rows_than_patterns():
+    """From d = 6 on there are at least 29 patterns, more than the at most
+    25 rows can match, so none of the C(25, 13) column sets of d = 12 (about
+    6 s to scan) is examined."""
+    start = time.perf_counter()
+    S, log = heavy_dominant_free_random_logged(25, 12, np.random.default_rng(0))
+    assert time.perf_counter() - start < 1.0
+    assert log["occurrences"] == 0 and S.shape == (25, 25)
+
+
+def test_interval_class_refuses_an_order_missing_a_point():
+    orders = list(default_line_orders(ProjectiveSpace.build(3, 2)))
+    orders[5] = orders[5][:-1] + orders[4][:1]  # same length, one point of line 4
+    with pytest.raises(ValueError, match="order for line 5 does not cover its points"):
+        interval_class(3, tuple(orders))
+
+
+def test_generator_parameters_below_their_range():
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        disjointness(0)
+    with pytest.raises(ValueError, match="order 1 is not prime"):
+        ProjectiveSpace.build(1, 2)
 
 
 def _planted_interval_class_5():

@@ -204,6 +204,16 @@ def test_sigma2_trace_floor():
         sigma2_trace_floor(BooleanMatrix([[1, 1], [1, 0]]))
 
 
+def test_sigma2_trace_floor_one_point():
+    assert sigma2_trace_floor(BooleanMatrix([[1]])) == 0.0
+
+
+def test_witness_feasible_refuses_a_shape_mismatch():
+    S = signed_identity(3)
+    assert not witness_feasible(identity_witness(S), signed_identity(4))
+    assert not witness_feasible(identity_witness(S), SignMatrix.constant(3, 4, 1))
+
+
 def test_sigma2_trace_floor_random_regular():
     rng = np.random.default_rng(6)
     for _ in range(10):

@@ -123,6 +123,18 @@ def test_is_maximum_class():
     assert is_maximum_class(full_cube, 3)
 
 
+def test_is_maximum_class_needs_the_sauer_size(monkeypatch):
+    """A class of VC dimension d is not maximum when its size is off the
+    Sauer bound, and no d outside 0..n is; neither case searches."""
+    ball = hamming_ball(4, 2)
+    short = ConceptClass(SignMatrix(ball.matrix.entries[1:]))  # the empty set left out
+    assert vc_dimension(short.matrix) == 2
+    monkeypatch.setattr(vc, "vc_dimension", lambda S: pytest.fail("searched"))
+    assert not is_maximum_class(short, 2)
+    assert not is_maximum_class(ball, -1)
+    assert not is_maximum_class(ball, 5)
+
+
 def test_is_cube_connected():
     """A class is cube connected when the masks of its rows (bit j set where
     column j is +1) are; the complement convention gives the same answer."""
