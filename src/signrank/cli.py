@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import census, generators
-from .embed import _lower_certificates, certify, signrank_bracket, skipped_entries
+from .embed import _lower_certificates, certify, signrank_bracket
 from .errors import MatrixFormatError, SizeLimitError
 from .matrix import parse_sign_matrix, regularity, to_boolean, distinct_rows
 from .spectral import regular_upper_bound, sigma2_trace_floor, star_norm_floor, top_singular_values
@@ -54,7 +54,7 @@ def _report(args, doc: dict, skipped: list[tuple[str, str]]) -> int:
     skipped, a (method, reason) pair, listed under `skipped`. The exit code
     is 4 exactly when one was refused."""
     if skipped:
-        doc["skipped"] = skipped_entries(skipped)
+        doc["skipped"] = [{"method": m, "reason": r} for m, r in skipped]
     doc = _round_floats(doc)
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -144,14 +144,18 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     S = _load_matrix(args.input)
     rng = np.random.default_rng(args.seed)
-    report = signrank_bracket(
-        S,
-        rng,
-        instance=os.path.basename(args.input),
-        hinge_alternations=args.budget,
-    )
-    doc = report.to_json_dict()
-    doc["approx_sign_rank"] = report.welzl_max_sc + 1
+    report = signrank_bracket(S, rng, hinge_alternations=args.budget)
+    doc = {
+        "instance": os.path.basename(args.input),
+        "n_rows": S.n_rows,
+        "n_cols": S.n_cols,
+        "lower": [{"method": m, "value": v} for m, v in report.lower_bounds],
+        "upper": [{"method": m, "value": v} for m, v in report.upper_bounds],
+        "bracket": list(report.bracket),
+        "welzl": {"max_sc": report.welzl_max_sc, "constant_observed": report.welzl_constant},
+        "approx_sign_rank": report.welzl_max_sc + 1,
+    }
+    doc.update((k, v) for k, v in (("vc", report.vc), ("dual", report.dual)) if v is not None)
     return _report(args, doc, report.skipped)
 
 

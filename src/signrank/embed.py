@@ -45,9 +45,6 @@ class FactorizationWitness:
 class BoundReport:
     """Named certificates and the sign-rank bracket they pin down."""
 
-    instance: str
-    n_rows: int
-    n_cols: int
     vc: int | None  # None when the search was refused
     dual: int | None
     lower_bounds: list[tuple[str, float]]
@@ -56,24 +53,6 @@ class BoundReport:
     welzl_max_sc: int
     welzl_constant: float | None
     skipped: list[tuple[str, str]]  # (method, reason) of uncertified bounds
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "instance": self.instance,
-            "n_rows": self.n_rows,
-            "n_cols": self.n_cols,
-            "lower": [{"method": m, "value": v} for m, v in self.lower_bounds],
-            "upper": [{"method": m, "value": v} for m, v in self.upper_bounds],
-            "bracket": list(self.bracket),
-            "welzl": {
-                "max_sc": self.welzl_max_sc,
-                "constant_observed": self.welzl_constant,
-            },
-        }
-        doc.update((k, v) for k, v in (("vc", self.vc), ("dual", self.dual)) if v is not None)
-        if self.skipped:
-            doc["skipped"] = skipped_entries(self.skipped)
-        return doc
 
 
 def embed_vc1(S: SignMatrix) -> FactorizationWitness:
@@ -231,12 +210,6 @@ def approx_sign_rank(S: SignMatrix, rng: np.random.Generator | None = None) -> i
     return ordering.max_sign_changes + 1
 
 
-def skipped_entries(skipped: list[tuple[str, str]]) -> list[dict]:
-    """The report form of refused certificates: {"method", "reason"} for
-    each (method, reason) pair that `certify` listed."""
-    return [{"method": m, "reason": r} for m, r in skipped]
-
-
 def certify(method: str, certificate, skipped: list[tuple[str, str]]):
     """The value of `certificate()`, or None when it is refused: over its
     budget (SizeLimitError) or not verified (CertificationError). A refused
@@ -288,10 +261,7 @@ def _same_rows(A: SignMatrix, B: SignMatrix) -> bool:
 
 
 def signrank_bracket(
-    S: SignMatrix,
-    rng: np.random.Generator | None = None,
-    instance: str = "",
-    hinge_alternations: int = 400,
+    S: SignMatrix, rng: np.random.Generator | None = None, hinge_alternations: int = 400
 ) -> BoundReport:
     """Assemble every available certificate into a sign-rank bracket.
 
@@ -340,9 +310,6 @@ def signrank_bracket(
             f"certificates disagree: lower {lo} exceeds upper {hi}"
         )
     return BoundReport(
-        instance=instance,
-        n_rows=S.n_rows,
-        n_cols=S.n_cols,
         vc=vc,
         dual=dual,
         lower_bounds=lower,

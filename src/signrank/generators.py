@@ -134,6 +134,8 @@ def hamming_ball(n: int, d: int) -> ConceptClass:
     """All vectors in {+1,-1}^n with at most d coordinates equal to +1, in
     increasing binary order: the tuples of their +1 coordinates, largest
     first, sorted."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if d < 0 or d > n:
         raise ValueError(f"radius d={d} must be between 0 and n={n}")
     rows = 0

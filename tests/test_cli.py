@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import stat
@@ -221,6 +222,12 @@ def test_gen_rejects_non_prime(capsys):
     assert "prime" in err
 
 
+def test_gen_hamming_ball_names_its_parameter(capsys):
+    code, out, err = run_cli(capsys, "gen", "hamming-ball", "--n", "0", "--d", "0")
+    assert code == 2
+    assert out == "" and "n must be at least 1" in err
+
+
 def test_gen_missing_parameter(capsys):
     code, _, err = run_cli(capsys, "gen", "signed-identity")
     assert code == 2
@@ -267,6 +274,111 @@ def test_analyze_signed_identity(tmp_path, capsys):
     assert doc["approx_sign_rank"] == 3
     assert doc["vc"] == 1
     assert doc["dual"] == 3
+
+
+def test_bracket_json_schema(tmp_path, capsys):
+    matrix = tmp_path / "id4.txt"
+    matrix.write_text(generators.signed_identity(4).to_text())
+    code, out, _ = run_cli(capsys, "analyze", str(matrix))
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {
+        "instance",
+        "n_rows",
+        "n_cols",
+        "vc",
+        "dual",
+        "lower",
+        "upper",
+        "bracket",
+        "welzl",
+        "approx_sign_rank",
+    }
+    assert doc["bracket"] == [3, 3]
+    assert all(set(e) == {"method", "value"} for e in doc["lower"] + doc["upper"])
+    assert set(doc["welzl"]) == {"max_sc", "constant_observed"}
+
+
+def test_reports_name_the_input_not_its_distinct_matrix(tmp_path, capsys):
+    """`analyze` and `bounds` report the file's base name and shape, though
+    their certificates read the distinct rows and columns: here 12 x 8 with
+    duplicated rows and columns, of an 11 x 4 distinct matrix."""
+    H = generators.hamming_ball(4, 2).matrix.entries
+    doubled = np.hstack((H, H))
+    S = signrank.SignMatrix(np.vstack((doubled, doubled[:1])))
+    matrix = tmp_path / "doubled.txt"
+    matrix.write_text(S.to_text())
+    for command in ("analyze", "bounds"):
+        code, out, _ = run_cli(capsys, command, str(matrix))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["instance"], doc["n_rows"], doc["n_cols"]) == ("doubled.txt", 12, 8)
+
+
+REPORT_INPUTS = {
+    "plane-3": lambda: generators.projective_incidence(3),
+    "intervals-3": lambda: generators.interval_class(3).matrix,
+    "hamming-8-2": lambda: generators.hamming_ball(8, 2).matrix,
+    "line-subset-3": lambda: generators.line_subset_random(3, np.random.default_rng(0)),
+}
+# (command, input, format, vc.SUBSET_BUDGET or None for the default, exit
+# code, sha256 of stdout) at --seed 0. With a budget of one subset the VC
+# and dual searches of the plane are both refused.
+PINNED_REPORTS = [
+    ("analyze", "plane-3", "json", None, 0,
+     "9612919c41744ea46fcad89f0088b05899259afe4d97beeeaaa4c8898197dc96"),
+    ("analyze", "plane-3", "text", None, 0,
+     "3f79eb2873c6a9fe49bc70126accbbfa6ee74a8a762130a0df783e415186605d"),
+    ("bounds", "plane-3", "json", None, 0,
+     "69dcfd12289c42c02c0a4f10648d15f0f11f9dc01555ca7a3971eec1dd5172d0"),
+    ("bounds", "plane-3", "text", None, 0,
+     "d1dfb8241b1877f4fa189f2f660c42fe55150aeefb81eb82c3dc46011b7e6038"),
+    ("analyze", "intervals-3", "json", None, 0,
+     "1cf61de6a0234f7315d183d4715df9df051c3860aca6415a6de0eb200c21b284"),
+    ("analyze", "intervals-3", "text", None, 0,
+     "13965216250435080865cdf354d7cf4a0fb9c592c873affa87dcce92dd66bd76"),
+    ("bounds", "intervals-3", "json", None, 0,
+     "592ced0a6ada01043a09b7bad1731e31fd24be8170defef02cb4723775be2e03"),
+    ("bounds", "intervals-3", "text", None, 0,
+     "f39a6a7956dfb4c7e46c7c7d632ad4f9100cd96549a5ae987112570dc95f7dbf"),
+    ("analyze", "hamming-8-2", "json", None, 0,
+     "bca11da6a35ed0b53ec980aa3de0b388379ffd7e53a4f0700be4fc0831134e05"),
+    ("analyze", "hamming-8-2", "text", None, 0,
+     "598d1e747414f035bb861c99a012d6bf4dd2bd8945c71fbc570c863c49f87543"),
+    ("bounds", "hamming-8-2", "json", None, 0,
+     "c6144300c203dc25797c4d5d557bd374c3f15aa8f98a6f02311a7be8c7ff07f2"),
+    ("bounds", "hamming-8-2", "text", None, 0,
+     "c27f59ab91ce268ecd2abae1038618565a69f8010443bab5788483218f275a8b"),
+    ("analyze", "line-subset-3", "json", None, 0,
+     "a0e1d8fd693cd00c6294b614f9b9e312450641a51f3ea7326f5f81d267a8dc69"),
+    ("analyze", "line-subset-3", "text", None, 0,
+     "4c7fa8c99229f7d5586864a27f5f4155ba6f1be0e4187516df39d254281ad061"),
+    ("bounds", "line-subset-3", "json", None, 0,
+     "27984cee891df2d790642c2a82057b02d14e99c7d8b6293d5ac53e825e7b5215"),
+    ("bounds", "line-subset-3", "text", None, 0,
+     "024101d3d73c380063c893e05022e4ee7d373209f973c1b1b826090f321126ac"),
+    ("analyze", "plane-3", "json", 1, 4,
+     "577cdd379d700bf0f528aa3a07fa156c8248761513590343673a8e781a25e55a"),
+    ("analyze", "plane-3", "text", 1, 4,
+     "55a7b348e5a7829f4990f4fc09c1cbffdfc1858293c1452c172a355f02c2ea67"),
+    ("bounds", "plane-3", "json", 1, 4,
+     "d9971e1f8858a213bbc66b8a9ef002505bf5b26f86b992085d8bde2e41718ccc"),
+    ("bounds", "plane-3", "text", 1, 4,
+     "c4bfb943002e0a9f87e0a0bb21a4570f1f7fc14fb44baaec8bbd870d2d4cf6a0"),
+]
+
+
+@pytest.mark.parametrize("command, name, fmt, budget, code, digest", PINNED_REPORTS)
+def test_rendered_reports_are_pinned(tmp_path, capsys, monkeypatch, command, name, fmt,
+                                     budget, code, digest):
+    """Every byte of a rendered report is fixed: a change that moves or
+    rebuilds a report must leave these digests as they are."""
+    if budget is not None:
+        monkeypatch.setattr(vc, "SUBSET_BUDGET", budget)
+    matrix = tmp_path / f"{name}.txt"
+    matrix.write_text(REPORT_INPUTS[name]().to_text())
+    got, out, _ = run_cli(capsys, command, str(matrix), "--seed", "0", "--format", fmt)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 def test_analyze_all_plus(tmp_path, capsys):

@@ -147,6 +147,12 @@ def test_interval_class_sizes_and_maximality():
     assert interval_class(5).n_rows == 1 + 31 + math.comb(31, 2)
 
 
+def test_hamming_ball_refuses_empty_vectors():
+    # n = 0 passes the radius check, but has no coordinate to build on
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        hamming_ball(0, 0)
+
+
 def test_hamming_ball_scales_past_word_width():
     ball = hamming_ball(40, 1)
     assert ball.n_rows == 41
