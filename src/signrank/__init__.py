@@ -62,7 +62,6 @@ from .spectral import (
     spectral_signrank_lower,
     star_norm_floor,
     top_singular_values,
-    witness_feasible,
 )
 from .stabbing import (
     RowOrdering,

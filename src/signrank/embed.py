@@ -243,9 +243,9 @@ def _lower_certificates(S: SignMatrix, degree: int | None):
     dual = certify("dual_sign_rank", lambda: dual_sign_rank(Sd, vc=vc), skipped)
     lower = [] if dual is None else [("dual_sign_rank", float(dual))]
     if S.n_rows == S.n_cols:
-        methods = [("forster", lambda: forster_bound(S, identity_witness(S)))]
+        methods = [("forster", lambda: forster_bound(identity_witness(S)))]
         if degree and 2 * degree <= S.n_rows:
-            methods.append(("spectral", lambda: forster_bound(S, _regular_witness(S, degree))))
+            methods.append(("spectral", lambda: forster_bound(_regular_witness(S, degree))))
         for method, bound in methods:
             value = certify(method, bound, skipped)
             if value is not None:

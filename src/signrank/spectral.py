@@ -8,19 +8,18 @@ norm is (N/degree) sigma2(B), which is where a spectral gap pays off.
 
 Such a bound is sound only if ||W|| is an upper bound, never an estimate
 that may err low. Every witness norm therefore comes from one verifier,
-`_certified_norm`, which runs when a `WitnessMatrix` is built: a LAPACK
-estimate of sigma1 is raised until a floating-point Cholesky test (Rump,
-"Verification of positive definiteness", BIT 2006) proves t^2 I - W^T W
-positive semidefinite. A witness whose norm cannot be certified is never
-built: construction raises `CertificationError`, and
-`embed.lower_certificates` reports such a bound as skipped instead of using
-it.
+`_certified_norm`, which runs when a `WitnessMatrix` has checked W * S >= 1
+exactly: a LAPACK estimate of sigma1 is raised until a floating-point
+Cholesky test (Rump, "Verification of positive definiteness", BIT 2006)
+proves t^2 I - W^T W positive semidefinite. A witness whose norm cannot be
+certified is never built: construction raises `CertificationError`, and
+`embed.lower_certificates` reports such a bound as skipped instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -43,16 +42,22 @@ class SpectrumSummary:
 
 @dataclass(frozen=True, eq=False)
 class WitnessMatrix:
-    """A real matrix W meant to satisfy W*S >= 1 entrywise for a sign matrix
-    S. `spectral_norm` is a certified upper bound on ||W||, proven by the
-    verifier when the witness is built; a norm that cannot be certified
-    raises `CertificationError` instead."""
+    """A real matrix W with W*S >= 1 entrywise for the sign matrix S it is
+    built for (S is not kept). Both facts are proven when the witness is
+    built: a shape mismatch or an entry with W*S < 1 raises ValueError, before
+    the verifier runs, and `spectral_norm` is a certified upper bound on
+    ||W||; a norm that cannot be certified raises `CertificationError`."""
 
+    S: InitVar[SignMatrix]
     matrix: np.ndarray
     provenance: str
     spectral_norm: float = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, S: SignMatrix) -> None:
+        if self.matrix.shape != S.shape:
+            raise ValueError("witness and sign matrix differ in shape")
+        if not (self.matrix * S.entries >= 1.0).all():
+            raise ValueError("witness is not feasible for this matrix")
         norm = _certified_norm(self.matrix)
         if norm is None:
             raise CertificationError(
@@ -123,16 +128,9 @@ def top_singular_values(M) -> SpectrumSummary:
     return SpectrumSummary(float(s[0]), float(s[1]) if len(s) > 1 else 0.0)
 
 
-def witness_feasible(W: WitnessMatrix, S: SignMatrix) -> bool:
-    """Exact entrywise check of W * S >= 1."""
-    if W.matrix.shape != S.shape:
-        return False
-    return bool((W.matrix * S.entries >= 1.0).all())
-
-
 def identity_witness(S: SignMatrix) -> WitnessMatrix:
     """W = S itself; feasible since every entry has absolute value one."""
-    return WitnessMatrix(S.entries.astype(float), "identity-witness")
+    return WitnessMatrix(S, S.entries.astype(float), "identity-witness")
 
 
 def regular_witness(S: SignMatrix) -> WitnessMatrix:
@@ -154,26 +152,22 @@ def _regular_witness(S: SignMatrix, degree: int | None) -> WitnessMatrix:
     if 2 * degree > n:
         raise ValueError(f"degree {degree} exceeds half the order {n}")
     W = (n / degree) * to_boolean(S).entries.astype(float) - 1.0
-    witness = WitnessMatrix(W, "regular-witness")
-    if not witness_feasible(witness, S):
-        raise AssertionError("regular witness is not feasible for S")
-    return witness
+    return WitnessMatrix(S, W, "regular-witness")
 
 
-def forster_bound(S: SignMatrix, W: WitnessMatrix) -> float:
-    """N / ||W||: a lower bound on the sign rank of S for any feasible W,
-    resting on the norm certified when W was built."""
-    if S.n_rows != S.n_cols:
+def forster_bound(W: WitnessMatrix) -> float:
+    """N / ||W||: a lower bound on the sign rank of the N x N matrix W was
+    built for, resting on the feasibility and norm proven then."""
+    n, n_cols = W.matrix.shape
+    if n != n_cols:
         raise ValueError("this bound needs a square matrix")
-    if not witness_feasible(W, S):
-        raise ValueError("witness is not feasible for this matrix")
-    return S.n_rows / W.spectral_norm
+    return n / W.spectral_norm
 
 
 def spectral_signrank_lower(S: SignMatrix) -> float:
     """degree / sigma2(B) for a regular sign matrix with degree <= N/2: the
     Forster bound of the regular witness."""
-    return forster_bound(S, regular_witness(S))
+    return forster_bound(regular_witness(S))
 
 
 def star_norm_floor(S: SignMatrix) -> float:

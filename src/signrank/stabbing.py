@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import MAX_CELLS, SizeLimitError
 from .matrix import SignMatrix, has_distinct_rows
 
 # Ceiling on the total pair weight kept in float64 (see _PairWeights).
@@ -101,9 +101,8 @@ class _PairWeights:
     before that doubling (so column j gains 2^(e_j - base) - 2^(s_j - base)
     in all, s_j its count at the last sync), admits levels and extracts the
     next tie set. A step that keeps the set costs about the tie pairs times
-    the crossed columns; a sync costs what a step cost before the set was
-    carried, about the candidates times the columns crossed since the last
-    sync, or one n x n product if less.
+    the crossed columns; a sync costs about the candidates times the
+    columns crossed since the last sync, or one n x n product if less.
 
     Every partial sum and weight is an integer of magnitude at most the
     total weight of the varying columns; while that stays at most
@@ -130,7 +129,7 @@ class _PairWeights:
         present[self.hd] = True
         self.levels = np.flatnonzero(present)[:0:-1].tolist()  # the distances but 0, largest first
         self.comp = np.arange(n)
-        self.u = self.v = np.zeros(0, dtype=np.intp)  # candidate pairs u < v, in u * n + v order
+        self.u = self.v = np.zeros(0, dtype=np.intp)  # candidate pairs u < v
         self.w = np.zeros(0)
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []  # (columns, counts) per doubling
         self.tie = self.tu = self.tv = self.u  # carried tie set u * n + v, increasing; its rows
@@ -184,7 +183,7 @@ class _PairWeights:
         live = self.comp.take(self.u) != self.comp.take(self.v)
         self.u, self.v, self.w = self.u[live], self.v[live], self.w[live]
         self._catch_up()
-        n, levels = len(self.comp), len(self.levels)
+        n = len(self.comp)
         least = self.w.min() if len(self.w) else np.inf  # Python inf: compares with any int
         while self.levels and self._may_tie(least, self.levels[-1]):
             u, v = np.divmod(np.flatnonzero(self.hd == self.levels.pop()), n)
@@ -192,12 +191,9 @@ class _PairWeights:
             self.u, self.v = np.concatenate((self.u, u[live])), np.concatenate((self.v, v[live]))
             self.w = np.concatenate((self.w, self._weights(u[live], v[live])))
             least = self.w.min() if len(self.w) else np.inf
-        if len(self.levels) < levels:  # candidates in u * n + v order give the ties in order
-            order = np.argsort(self.u * n + self.v)
-            self.u, self.v, self.w = self.u[order], self.v[order], self.w[order]
         tied = self.w == least
-        self.tu, self.tv = self.u[tied], self.v[tied]
-        self.tie = self.tu * n + self.tv
+        self.tie = np.sort(self.u[tied] * n + self.v[tied])
+        self.tu, self.tv = np.divmod(self.tie, n)
 
     def _catch_up(self) -> None:
         """Add to each candidate 2^(k - base) for every doubling since the
@@ -267,8 +263,10 @@ def welzl_path(
     are admitted by Hamming distance, nearest first, while the lightest
     candidate weighs at least the least weight a pair at the next distance
     can have, so no pair left out can tie the lightest (see `_PairWeights`).
-    Memory is an n x n int32 distance matrix for n rows. The lightest tie
-    set is carried from step to step while some of its pairs stay live and
+    Memory is an n x n int32 distance matrix for n rows, built from one
+    n x n float32 product; past n^2 = 16 MAX_CELLS cells (16384 rows) the
+    greedy raises SizeLimitError before it allocates. The lightest tie set
+    is carried from step to step while some of its pairs stay live and
     uncrossed, at about its size times the crossed columns a step; only when
     it runs out are the candidate weights brought up to date, at about the
     candidates times the columns crossed since, or one n x n product if
@@ -282,6 +280,8 @@ def welzl_path(
     if not has_distinct_rows(S):
         raise ValueError("rows must be pairwise distinct (apply distinct_rows first)")
     n, n_cols = S.n_rows, S.n_cols
+    if n * n > 16 * MAX_CELLS:
+        raise SizeLimitError(f"the greedy's {n} x {n} pair tables exceed {16 * MAX_CELLS} cells")
     state = WelzlState(p=np.full(n_cols, 1.0 / n_cols), forest_edges=[])
     if n == 1:
         return count_sign_changes(S, (0,)), state

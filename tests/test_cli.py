@@ -357,6 +357,38 @@ PINNED_REPORTS = [
      "27984cee891df2d790642c2a82057b02d14e99c7d8b6293d5ac53e825e7b5215"),
     ("bounds", "line-subset-3", "text", None, 0,
      "024101d3d73c380063c893e05022e4ee7d373209f973c1b1b826090f321126ac"),
+    ("path", "plane-3", "json", None, 0,
+     "28394e77dd6e5a59ec9301e35118380e1f112398c63649d1639c19f0d6a36b97"),
+    ("path", "plane-3", "text", None, 0,
+     "4d16ff39c6e12a56a3f2b0501fe7054186740cd8d64c0291b83a8704fd39949f"),
+    ("path", "intervals-3", "json", None, 0,
+     "1f73065a3f48890e654a4c8fb84481bb13121e8fa3f77970e046f1513ac08223"),
+    ("path", "intervals-3", "text", None, 0,
+     "494c75dad743d08c55789a86a8d72503a334c1be3e19f9123fb9cfb00230f1ee"),
+    ("path", "hamming-8-2", "json", None, 0,
+     "84efd383381eccc278c7fb93877b3dba32cab055c0f52773a26a3ae7db32f28e"),
+    ("path", "hamming-8-2", "text", None, 0,
+     "fe221597bfb3d2f17d0f8ad896105990ee3c53c1ce676f6c37fd3942f52a0e67"),
+    ("path", "line-subset-3", "json", None, 0,
+     "97c7ce7cf5ebffbf2fa6c34ab566d300418daf9b2eb1ef4213eec971ebecc32d"),
+    ("path", "line-subset-3", "text", None, 0,
+     "d3d69bfcba94df111978ef2779e87dd7b2ab90f983479a1dbdfa3dfd55268c3c"),
+    ("approx", "plane-3", "json", None, 0,
+     "cbb07005a4ede7ae62404f1b08bdb2ec5d6a4823de09c948e135b6ae735ba195"),
+    ("approx", "plane-3", "text", None, 0,
+     "8ec075f28e764a1177410ee9311e930ecf135a4ebd434d53a328cd1ece54352c"),
+    ("approx", "intervals-3", "json", None, 0,
+     "feb3af30c9acbe9a1d1293c1d31dab31d6622268e463b865f2667e69035f9442"),
+    ("approx", "intervals-3", "text", None, 0,
+     "61da2c88bdbe12a660aae0d5c09e46a07b14b2a830e4542f469b976d49da91d5"),
+    ("approx", "hamming-8-2", "json", None, 0,
+     "9a41606ca706ce78369cc1cd20b723d85d83a69ee4c68b253bdbf9191478aba8"),
+    ("approx", "hamming-8-2", "text", None, 0,
+     "1b9c5671e16ff58c87cb39ecb5b450929e2072f3346d9cc03faef78065436031"),
+    ("approx", "line-subset-3", "json", None, 0,
+     "22416bf134f7eefc04b18a28e50f7642964b360e8af75f0785238393868c3b00"),
+    ("approx", "line-subset-3", "text", None, 0,
+     "af069171bf72968dec01bd3aa39a3075d92e2d82f59762832ccc2d45f9155318"),
     ("analyze", "plane-3", "json", 1, 4,
      "577cdd379d700bf0f528aa3a07fa156c8248761513590343673a8e781a25e55a"),
     ("analyze", "plane-3", "text", 1, 4,
@@ -550,6 +582,16 @@ def test_path_command_consistent(tmp_path, capsys):
     assert recount.max_sign_changes == doc["max_sign_changes"]
     assert doc["method"] == "welzl"
     assert len(doc["x_log"]) == S.n_rows - 1
+
+
+def test_path_refuses_more_rows_than_the_greedy_holds(tmp_path, capsys):
+    """interval_class(13) has 16837 distinct rows, past the greedy's 16384:
+    `path` exits 3 without allocating its n x n tables."""
+    matrix = tmp_path / "intervals-13.txt"
+    assert main(["gen", "intervals", "--p", "13", "--out", str(matrix)]) == 0
+    code, out, err = run_cli(capsys, "path", str(matrix))
+    assert (code, out) == (3, "")
+    assert "16837 x 16837" in err
 
 
 def test_path_reports_order_when_vc_is_refused(tmp_path, capsys, monkeypatch):

@@ -26,7 +26,6 @@ from signrank import (
     to_boolean,
     to_signed,
     top_singular_values,
-    witness_feasible,
 )
 from testutil import random_sign_matrix
 
@@ -78,15 +77,13 @@ def test_top_singular_values_rejects_bad_input():
 
 def test_identity_witness_feasible():
     for S in (signed_identity(4), disjointness(2), SignMatrix.constant(3, 3, 1)):
-        W = identity_witness(S)
+        W = identity_witness(S)  # construction succeeds, so W * S >= 1
         assert W.provenance == "identity-witness"
-        assert witness_feasible(W, S)
 
 
 def test_regular_witness_projective():
     P = projective_incidence(3, 2)
-    W = regular_witness(P)
-    assert witness_feasible(W, P)
+    W = regular_witness(P)  # construction succeeds, so W * P >= 1
     assert W.spectral_norm == pytest.approx(13 / 4 * math.sqrt(3), abs=1e-6)
     assert W.spectral_norm == pytest.approx(5.6292, abs=1e-4)
     # deflated norm agrees with the dense computation
@@ -96,11 +93,10 @@ def test_regular_witness_projective():
 
 def test_regular_witness_signed_identity():
     eye = signed_identity(4)
-    W = regular_witness(eye)  # degree 1 <= 2
+    W = regular_witness(eye)  # degree 1 <= 2; construction succeeds, so W * eye >= 1
     assert np.allclose(np.diag(W.matrix), 3.0)
     off = W.matrix[~np.eye(4, dtype=bool)]
     assert np.allclose(off, -1.0)
-    assert witness_feasible(W, eye)
 
 
 def test_regular_witness_preconditions():
@@ -114,25 +110,55 @@ def test_regular_witness_preconditions():
 
 def test_forster_bound_examples():
     eye = signed_identity(4)
-    assert forster_bound(eye, identity_witness(eye)) == pytest.approx(2.0, abs=1e-6)
+    assert forster_bound(identity_witness(eye)) == pytest.approx(2.0, abs=1e-6)
 
     P = projective_incidence(3, 2)
-    bound = forster_bound(P, regular_witness(P))
+    bound = forster_bound(regular_witness(P))
     assert bound == pytest.approx(4 / math.sqrt(3), abs=1e-6)
     assert bound == pytest.approx(2.3094, abs=1e-4)
 
     plus = SignMatrix.constant(5, 5, 1)
-    assert forster_bound(plus, identity_witness(plus)) == pytest.approx(1.0, abs=1e-9)
+    assert forster_bound(identity_witness(plus)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_forster_bound_rejects_infeasible_and_rectangular():
     eye = signed_identity(4)
-    bad = WitnessMatrix(np.ones((4, 4)), "custom")
     with pytest.raises(ValueError):
-        forster_bound(eye, bad)
+        WitnessMatrix(eye, np.ones((4, 4)), "custom")
     rect = SignMatrix.constant(2, 3, 1)
     with pytest.raises(ValueError):
-        forster_bound(rect, WitnessMatrix(np.ones((2, 3)), "custom"))
+        forster_bound(WitnessMatrix(rect, np.ones((2, 3)), "custom"))
+
+
+def test_witness_feasibility_is_checked_before_the_norm(monkeypatch):
+    """An infeasible or mis-shaped matrix is refused with ValueError when
+    the witness is built, before the norm verifier runs."""
+    calls = []
+    certified_norm = spectral._certified_norm
+    monkeypatch.setattr(spectral, "_certified_norm", lambda W: calls.append(W) or certified_norm(W))
+    eye = signed_identity(4)
+    with pytest.raises(ValueError, match="not feasible"):
+        WitnessMatrix(eye, np.ones((4, 4)), "custom")
+    with pytest.raises(ValueError, match="not feasible"):
+        WitnessMatrix(eye, 0.5 * eye.entries, "custom")  # right signs, too small
+    with pytest.raises(ValueError, match="shape"):
+        WitnessMatrix(eye, np.ones((4, 3)), "custom")
+    with pytest.raises(ValueError, match="shape"):
+        WitnessMatrix(eye, eye.entries.T[:3], "custom")
+    assert calls == []
+    WitnessMatrix(eye, 2.0 * eye.entries, "custom")
+    assert len(calls) == 1
+
+
+def test_forster_bound_reads_only_its_witness():
+    """forster_bound(W) is N / ||W|| for the N x N matrix W was built for;
+    a witness of a rectangular matrix gives no bound."""
+    W = WitnessMatrix(SignMatrix.constant(2, 3, 1), np.ones((2, 3)), "custom")
+    with pytest.raises(ValueError, match="square"):
+        forster_bound(W)
+    P = projective_incidence(3, 2)
+    W = regular_witness(P)
+    assert forster_bound(W) == 13 / W.spectral_norm
 
 
 def test_integer_certificate_keeps_integral_bounds():
@@ -147,7 +173,7 @@ def test_spectral_signrank_lower():
     lower = spectral_signrank_lower(P)
     assert lower == pytest.approx(4 / math.sqrt(3), abs=1e-6)
     assert integer_certificate(lower) == 3
-    assert abs(lower - forster_bound(P, regular_witness(P))) <= 1e-6
+    assert abs(lower - forster_bound(regular_witness(P))) <= 1e-6
 
     P5 = projective_incidence(5, 2)
     assert spectral_signrank_lower(P5) == pytest.approx(6 / math.sqrt(5), abs=1e-6)
@@ -210,8 +236,10 @@ def test_sigma2_trace_floor_one_point():
 
 def test_witness_feasible_refuses_a_shape_mismatch():
     S = signed_identity(3)
-    assert not witness_feasible(identity_witness(S), signed_identity(4))
-    assert not witness_feasible(identity_witness(S), SignMatrix.constant(3, 4, 1))
+    with pytest.raises(ValueError):
+        WitnessMatrix(signed_identity(4), identity_witness(S).matrix, "custom")
+    with pytest.raises(ValueError):
+        WitnessMatrix(SignMatrix.constant(3, 4, 1), identity_witness(S).matrix, "custom")
 
 
 def test_sigma2_trace_floor_random_regular():
@@ -240,9 +268,9 @@ def test_certificates_sound_on_known_sign_ranks():
         (disjointness(2), 3),
     ]
     for S, rank in known:
-        assert forster_bound(S, identity_witness(S)) <= rank + 1e-9
+        assert forster_bound(identity_witness(S)) <= rank + 1e-9
         try:
-            assert forster_bound(S, regular_witness(S)) <= rank + 1e-9
+            assert forster_bound(regular_witness(S)) <= rank + 1e-9
             assert regular_upper_bound(S) >= rank
         except ValueError:
             pass
@@ -344,7 +372,7 @@ def test_forster_bound_below_exact_on_random_100():
     rng = np.random.default_rng(1)
     S = SignMatrix(np.where(rng.random((100, 100)) < 0.5, 1, -1))
     sigma1 = np.linalg.svd(S.entries.astype(float), compute_uv=False)[0]
-    assert forster_bound(S, identity_witness(S)) <= 100 / sigma1 * (1 + 1e-12)
+    assert forster_bound(identity_witness(S)) <= 100 / sigma1 * (1 + 1e-12)
 
 
 def test_witness_norm_is_proven_not_given():
@@ -353,11 +381,11 @@ def test_witness_norm_is_proven_not_given():
     16, above its sign rank of 3)."""
     S = signed_identity(8)
     with pytest.raises(TypeError):
-        WitnessMatrix(S.entries.astype(float), "custom", 0.5)
-    W = WitnessMatrix(S.entries.astype(float), "custom")
+        WitnessMatrix(S, S.entries.astype(float), "custom", 0.5)
+    W = WitnessMatrix(S, S.entries.astype(float), "custom")
     assert certifies(W.spectral_norm, W.matrix)
     sigma1 = np.linalg.svd(W.matrix, compute_uv=False)[0]
-    assert forster_bound(S, W) <= 8 / sigma1 * (1 + 1e-12)
+    assert forster_bound(W) <= 8 / sigma1 * (1 + 1e-12)
 
 
 def test_uncertified_bounds_are_skipped(monkeypatch):
@@ -366,7 +394,7 @@ def test_uncertified_bounds_are_skipped(monkeypatch):
     with pytest.raises(CertificationError):
         identity_witness(P)
     with pytest.raises(CertificationError):
-        forster_bound(P, WitnessMatrix(P.entries.astype(float), "custom"))
+        forster_bound(WitnessMatrix(P, P.entries.astype(float), "custom"))
     _, _, lower, skipped = lower_certificates(P)
     assert lower == [("dual_sign_rank", 4.0)]  # no witness bound
     assert [m for m, _ in skipped] == ["forster", "spectral"]
@@ -382,7 +410,7 @@ def test_witness_bounds_match_direct_calls():
     _, _, lower, skipped = lower_certificates(P)
     assert skipped == []
     assert lower[1:] == [
-        ("forster", forster_bound(P, identity_witness(P))),
+        ("forster", forster_bound(identity_witness(P))),
         ("spectral", spectral_signrank_lower(P)),
     ]
     _, _, lower, _ = lower_certificates(disjointness(3))  # not regular

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,25 @@ def test_welzl_never_beats_bruteforce():
 def test_welzl_rejects_duplicate_rows():
     with pytest.raises(ValueError):
         welzl_path(SignMatrix([[1, 1], [1, 1]]), np.random.default_rng(0))
+
+
+def test_welzl_refuses_tables_it_cannot_hold():
+    """The greedy's n x n tables are refused past 16 MAX_CELLS cells, before
+    anything grows with them: interval_class(17) has 47279 distinct rows."""
+    S = interval_class(17).matrix
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="47279 x 47279"):
+        welzl_path(S, np.random.default_rng(0))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_welzl_table_cap_boundary(monkeypatch):
+    """With 16 cells allowed, four distinct rows run and five are refused."""
+    monkeypatch.setattr(stabbing, "MAX_CELLS", 1)
+    ordering, _ = welzl_path(signed_identity(4), np.random.default_rng(0))
+    assert ordering.max_sign_changes == 2
+    with pytest.raises(SizeLimitError):
+        welzl_path(signed_identity(5), np.random.default_rng(0))
 
 
 def test_vc1_path_examples():
@@ -336,7 +356,7 @@ def spy_on_ties(monkeypatch):
         sync(self)
         live = live_pair_weights(self)
         candidates = (self.u * len(self.comp) + self.v).tolist()
-        assert candidates == sorted(set(candidates))  # so the tie set comes out in order
+        assert len(set(candidates)) == len(candidates)
         assert all(live[i] == w for i, w in zip(candidates, self.w.tolist()))
         syncs.append(True)
 
